@@ -10,6 +10,12 @@ contract distilled into a fast gate: a lost fork-side delta, a
 double-counted retry, or a speculation loser leaking its counts all show
 up as a mismatched field here.
 
+Fault-free threads/processes runs must additionally compute every
+logical partition once: their summed ``stats_deltas_deduped`` has to be
+0.  A non-zero value means ``cache()``d partitions were recomputed —
+silently lost across forks, say — with the scope dedup hiding it from
+the counters; only chaos runs (lineage recovery) may dedup.
+
 Usage::
 
     PYTHONPATH=src python scripts/check_stats_exact.py
@@ -93,6 +99,14 @@ def main() -> int:
                     failures.append(
                         f"{label}: {ctx.cached_partition_count()} cached "
                         "partitions left behind"
+                    )
+                deduped = sum(
+                    job.total_stats_deltas_deduped for job in ctx.metrics.jobs
+                )
+                if ctx.chaos is None and deduped:
+                    failures.append(
+                        f"{label}: {deduped} stats deltas deduped on a "
+                        "fault-free run (cached partitions recomputed)"
                     )
                 checked += 1
     if failures:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..rankings.bounds import raw_threshold
 from ..rankings.dataset import RankingDataset
 from ..rankings.distances import footrule, max_footrule
 
@@ -75,7 +76,7 @@ class JoinResult:
 
     @property
     def theta_raw(self) -> float:
-        return self.theta * max_footrule(self.k)
+        return raw_threshold(self.theta, self.k)
 
     def normalized_pairs(self) -> list:
         """Pairs with distances normalized to [0, 1] (None preserved)."""

@@ -33,10 +33,12 @@ lazy generator pipelines:
   narrow-transform pull).  The channel remembers which scopes it has
   already merged and drops repeats.  Kernels are deterministic, so a
   recomputed partition produces a byte-identical delta and deduplication
-  reproduces the fault-free serial value exactly: the ``processes``
-  backend recomputing a cached partition in three different stages, a
-  lineage recompute after shuffle loss, and two threads racing to fill
-  the same cache slot all collapse to a single merge.
+  reproduces the fault-free serial value exactly: a lineage recompute
+  after shuffle loss, a cached partition that could not be shipped back
+  from a forked worker and is recomputed by a later stage, and two
+  threads racing to fill the same cache slot all collapse to a single
+  merge.  A fault-free run dedups nothing: every backend computes a
+  cached partition once.
 
 The channel's ``value`` object is whatever the caller supplies (joins
 pass their ``JoinStats``); the only requirement is a ``merge(other)``

@@ -23,11 +23,19 @@ chaos plan, speculation).  Three backends exist:
 ``processes``
     Fork-based worker processes (POSIX only).  Workers are forked *per
     stage*, after upstream shuffles have materialized, so the children
-    inherit the full lineage — closures never need to be pickled, only
-    each task's *result* travels back through a pipe.  A worker that dies
-    mid-stage (chaos kill, user ``os._exit``, OOM) is detected through
-    the broken pipe and *respawned*: only the lost tasks re-run, up to
-    the policy's respawn budget, after which the stage raises
+    inherit the full lineage — closures never need to be pickled.  Two
+    things travel back through each worker's pipe, per task: the
+    *result*, and every ``cache()``d partition the task computed first
+    (pickled; the scheduler pins them in the driver, still pickled, so
+    the next stage's fork inherits them copy-on-write and each partition
+    is computed once, as on serial/threads).  The driver reads
+    all live pipes from one ``multiprocessing.connection.wait`` loop: a
+    worker never blocks in ``send`` behind a sibling's unread results,
+    so ``max_workers`` workers really run side by side.  A fork costs
+    ~10 ms per stage — small against the work a stage does.  A worker
+    that dies mid-stage (chaos kill, user ``os._exit``, OOM) is detected
+    through the broken pipe and *respawned*: only the lost tasks re-run,
+    up to the policy's respawn budget, after which the stage raises
     :class:`~repro.minispark.chaos.ExecutorBrokenError` so callers can
     degrade to a simpler backend.  Speculative duplicates run driver-side
     on a small thread pool (the parent owns the lineage too).
@@ -47,6 +55,7 @@ import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from time import perf_counter, sleep, thread_time
 from typing import Callable, Sequence
 
@@ -57,9 +66,9 @@ from .chaos import (
     ChaosError,
     ExecutorBrokenError,
     TaskPolicy,
-    WorkerLostError,
     is_transient,
 )
+from .rdd import begin_cache_capture, end_cache_capture
 from .spill import discard_spill_refs
 
 #: Names accepted by :func:`make_executor` / ``Context(executor=...)``.
@@ -87,7 +96,11 @@ class TaskOutcome:
     the rest as discarded, which is what makes worker-side counters
     exact under retries and speculation.  ``discarded_stats`` collects
     delta registries from speculation losers whose outcome itself never
-    becomes the task's result.  The recovery fields record
+    becomes the task's result.  ``cache_fills`` is set by forked workers
+    only: the ``cache()``d partitions the task computed first, pickled,
+    for the scheduler to pin in the driver
+    (:func:`~repro.minispark.rdd.install_cache_fills`).  The recovery
+    fields record
     what it took to get the value: injected chaos faults, seconds slept
     in retry backoff, whether a speculative duplicate was launched / won,
     and how many worker respawns the task caused on the processes
@@ -101,6 +114,7 @@ class TaskOutcome:
     attempt_failed: list = field(default_factory=list)
     attempt_stats: list = field(default_factory=list)
     discarded_stats: list = field(default_factory=list)
+    cache_fills: dict = field(default_factory=dict)
     failures: int = 0
     error: BaseException | None = None
     backoff_seconds: float = 0.0
@@ -336,10 +350,7 @@ class ThreadTaskExecutor(TaskExecutor):
             for future in (primary[i], copy):
                 loser = future.result()
                 if loser is not chosen:
-                    chosen.discarded_stats.extend(loser.attempt_stats)
-                    # The losing attempt may have spilled its buckets;
-                    # those segment files will never be adopted.
-                    discard_spill_refs(loser.value)
+                    _discard_loser(chosen, loser)
         return outcomes
 
 
@@ -348,9 +359,14 @@ class ProcessTaskExecutor(TaskExecutor):
 
     Task indices are striped round-robin over ``max_workers`` children.
     Forking happens here — after earlier stages materialized their
-    shuffle outputs in the parent — so children see the complete lineage
-    state without any pickling of closures.  Only results (and
-    exceptions) cross the pipe and therefore must be picklable.
+    shuffle outputs and pinned their cached partitions in the parent —
+    so children see the complete lineage state without any pickling of
+    closures.  Only results, exceptions and newly cached partitions
+    cross the pipe and therefore must be picklable.
+
+    The driver reads every live worker's pipe from one
+    ``multiprocessing.connection.wait`` loop, so no worker ever blocks in
+    ``send`` behind a sibling's unread results.
 
     Fault tolerance: a worker that dies before reporting all its tasks
     (detected as EOF on its pipe) is respawned with exactly the lost
@@ -366,7 +382,7 @@ class ProcessTaskExecutor(TaskExecutor):
 
     name = "processes"
 
-    #: Pipe poll timeout when speculation is off (just liveness checks).
+    #: Pipe wait timeout when speculation is off (just liveness checks).
     _POLL_SECONDS = 0.2
 
     def __init__(self, max_workers: int | None = None):
@@ -393,35 +409,84 @@ class ProcessTaskExecutor(TaskExecutor):
         num_workers = min(self.max_workers, len(tasks))
         outcomes: list = [None] * len(tasks)
         restarts = [0] * len(tasks)
-        budget = {
-            "left": policy.max_worker_respawns,
-            "respawns": dict.fromkeys(range(len(tasks)), 0),
-        }
+        respawns = [0] * len(tasks)
+        respawns_left = policy.max_worker_respawns
+        spec = policy.speculation
         spec_pool = None
-        if policy.speculation is not None:
+        if spec is not None:
             spec_pool = ThreadPoolExecutor(
                 max_workers=max(2, num_workers // 2),
                 thread_name_prefix="minispark-spec",
             )
-        spawned: list = []
+        poll_seconds = (
+            spec.poll_seconds if spec is not None else self._POLL_SECONDS
+        )
+        copies: dict = {}  # task index -> driver-side duplicate's future
+        live: dict = {}  # pipe -> worker; a worker leaves once joined
         try:
-            workers = [
-                self._spawn(
+            for worker_id in range(num_workers):
+                worker = _Worker(
                     ctx, tasks,
                     list(range(worker_id, len(tasks), num_workers)),
-                    policy, restarts, spawned,
+                    policy, restarts,
                 )
-                for worker_id in range(num_workers)
-            ]
-            for process, receiver, indices in workers:
-                self._drain(
-                    ctx, process, receiver, indices, tasks, policy,
-                    outcomes, restarts, budget, spec_pool, spawned,
-                )
+                live[worker.receiver] = worker
+            while live:
+                ready = connection.wait(list(live), poll_seconds)
+                for receiver, worker in list(live.items()):
+                    if receiver in ready:
+                        exited = not worker.receive(outcomes, copies)
+                    else:
+                        exited = (
+                            not worker.process.is_alive()
+                            and not receiver.poll(0)
+                        )
+                    expected = worker.advance(outcomes, copies)
+                    if not exited:
+                        if (
+                            spec_pool is not None
+                            and expected is not None
+                            and expected not in copies
+                            and perf_counter() - worker.task_start
+                            > spec.threshold(_completed_task_seconds(outcomes))
+                        ):
+                            copies[expected] = spec_pool.submit(
+                                run_task_with_retries, tasks[expected],
+                                policy, expected,
+                                policy.speculative_attempt_base(),
+                            )
+                        continue
+                    # A pipe is read until its worker exits, even once
+                    # duplicates resolved all its tasks: the worker holds
+                    # its own copy of the read end, so a late result
+                    # sent into a pipe nobody drains would block forever.
+                    del live[receiver]
+                    receiver.close()
+                    worker.process.join()
+                    lost = [i for i in worker.indices if outcomes[i] is None]
+                    if not lost:
+                        continue
+                    victim = lost[0]  # death happens at (or in) that task
+                    restarts[victim] += 1
+                    if respawns_left <= 0:
+                        raise ExecutorBrokenError(
+                            "worker process died (exit code "
+                            f"{worker.process.exitcode}) while running "
+                            f"task {victim} of stage {policy.stage!r} and "
+                            "the respawn budget "
+                            f"({policy.max_worker_respawns}) is exhausted; "
+                            "the task may be killing its worker "
+                            "deterministically — try the 'threads' or "
+                            "'serial' executor"
+                        )
+                    respawns_left -= 1
+                    respawns[victim] += 1
+                    worker = _Worker(ctx, tasks, lost, policy, restarts)
+                    live[worker.receiver] = worker
         except BaseException:
-            for process in spawned:  # don't leak workers on a failed stage
-                if process.is_alive():
-                    process.terminate()
+            for worker in live.values():  # don't leak workers
+                if worker.process.is_alive():
+                    worker.process.terminate()
             # The stage is going down (ExecutorBrokenError, chaos, user
             # abort): release any segment mappings this driver attached
             # so a degraded re-run starts from a clean slate.
@@ -430,150 +495,82 @@ class ProcessTaskExecutor(TaskExecutor):
         finally:
             if spec_pool is not None:
                 spec_pool.shutdown(wait=False, cancel_futures=True)
-        for index, count in budget["respawns"].items():
-            if count and outcomes[index] is not None:
-                outcomes[index].respawns += count
-        for index in range(len(tasks)):
-            if outcomes[index] is None:
-                outcomes[index] = TaskOutcome(
-                    error=WorkerLostError(
-                        f"worker process for task {index} exited before "
-                        "reporting and was not recovered"
-                    )
-                )
+        for outcome, count in zip(outcomes, respawns):
+            outcome.respawns += count
         return outcomes
 
-    @staticmethod
-    def _spawn(ctx, tasks, indices, policy, restarts, spawned):
-        """Fork one worker for ``indices``; returns (process, pipe, indices)."""
-        receiver, sender = ctx.Pipe(duplex=False)
-        process = ctx.Process(
+
+class _Worker:
+    """Driver-side view of one forked worker and the tasks it still owes.
+
+    The worker sends ``(index, outcome)`` pairs in assignment order, then
+    exits; EOF before the last one means the process died.  Tasks whose
+    results already arrived are never recomputed.
+    """
+
+    def __init__(self, ctx, tasks, indices, policy, restarts):
+        self.indices = indices
+        self._pos = 0
+        self.task_start = perf_counter()  # when the expected task began
+        self.receiver, sender = ctx.Pipe(duplex=False)
+        self.process = ctx.Process(
             target=_forked_worker,
             # restarts is snapshotted at fork time: the child only needs
             # the kill history, never live updates.
             args=(sender, tasks, indices, policy, list(restarts)),
             daemon=True,
         )
-        process.start()
+        self.process.start()
         sender.close()  # parent keeps only the read end
-        spawned.append(process)
-        return process, receiver, indices
 
-    def _drain(
-        self, ctx, process, receiver, indices, tasks, policy,
-        outcomes, restarts, budget, spec_pool, spawned,
-    ) -> None:
-        """Receive one worker's results, respawning it if it dies.
+    def receive(self, outcomes: list, copies: dict) -> bool:
+        """Read one result off the pipe; ``False`` on EOF (worker exited)."""
+        try:
+            index, outcome = self.receiver.recv()
+        except (EOFError, OSError):
+            return False
+        copy = copies.get(index)
+        if outcomes[index] is None:
+            outcome.speculated = copy is not None
+            if copy is not None and copy.done():
+                # A duplicate finished (and lost, or failed) before the
+                # worker's own result arrived: keep its deltas as
+                # discarded.
+                _discard_loser(outcome, copy.result())
+            outcomes[index] = outcome
+        else:
+            # The speculative copy already won; the worker's late result
+            # is the loser.
+            _discard_loser(outcomes[index], outcome)
+        return True
 
-        The worker sends ``(index, outcome)`` pairs in assignment order;
-        EOF before the last one means the process died.  Lost tasks are
-        re-run by a fresh fork (budget permitting); tasks whose results
-        already arrived are never recomputed.
+    def advance(self, outcomes: list, copies: dict):
+        """Step past resolved tasks; return the one now awaited, if any.
+
+        A finished, successful driver-side duplicate of the awaited task
+        resolves it on the spot.
         """
-        spec = policy.speculation
-        poll_seconds = (
-            spec.poll_seconds if spec is not None else self._POLL_SECONDS
-        )
-        pending = list(indices)
-        copies: dict = {}
-        while True:  # one iteration per worker incarnation
-            queue = [i for i in pending if outcomes[i] is None]
-            pos = 0
-            current_start = perf_counter()
-            died = False
-            while pos < len(queue):
-                expected = queue[pos]
-                if outcomes[expected] is not None:
-                    pos += 1
-                    current_start = perf_counter()
-                    continue
+        while self._pos < len(self.indices):
+            expected = self.indices[self._pos]
+            if outcomes[expected] is None:
                 copy = copies.get(expected)
-                if copy is not None and copy.done():
-                    outcome = copy.result()
-                    if outcome.ok:
-                        outcome.speculated = True
-                        outcome.speculative_win = True
-                        outcomes[expected] = outcome
-                        pos += 1
-                        current_start = perf_counter()
-                        continue
-                try:
-                    has_data = receiver.poll(poll_seconds)
-                except (EOFError, OSError):
-                    died = True
-                    has_data = False
-                if has_data:
-                    try:
-                        index, outcome = receiver.recv()
-                    except (EOFError, OSError):
-                        died = True
-                    else:
-                        if outcomes[index] is None:
-                            outcome.speculated = index in copies
-                            copy = copies.get(index)
-                            if copy is not None and copy.done():
-                                # A duplicate finished (and lost, or
-                                # failed) before the worker's own result
-                                # arrived: keep its deltas as discarded.
-                                loser = copy.result()
-                                if loser is not outcome:
-                                    outcome.discarded_stats.extend(
-                                        loser.attempt_stats
-                                    )
-                                    discard_spill_refs(loser.value)
-                            outcomes[index] = outcome
-                        else:
-                            # The speculative copy already won; the
-                            # worker's late result is the loser.
-                            outcomes[index].discarded_stats.extend(
-                                outcome.attempt_stats
-                            )
-                            discard_spill_refs(outcome.value)
-                        if index == expected:
-                            pos += 1
-                            current_start = perf_counter()
-                        continue
-                if died:
-                    break
-                if not process.is_alive():
-                    if receiver.poll(0):  # flush what the pipe still holds
-                        continue
-                    died = True
-                    break
-                if (
-                    spec_pool is not None
-                    and expected not in copies
-                    and perf_counter() - current_start
-                    > spec.threshold(_completed_task_seconds(outcomes))
-                ):
-                    copies[expected] = spec_pool.submit(
-                        run_task_with_retries, tasks[expected], policy,
-                        expected, policy.speculative_attempt_base(),
-                    )
-            receiver.close()
-            process.join()
-            if not died:
-                return
-            lost = [i for i in pending if outcomes[i] is None]
-            if not lost:
-                return
-            victim = lost[0]  # death happens at (or in) the expected task
-            restarts[victim] += 1
-            if budget["left"] <= 0:
-                raise ExecutorBrokenError(
-                    f"worker process died (exit code {process.exitcode}) "
-                    f"while running task {victim} of stage "
-                    f"{policy.stage!r} and the respawn budget "
-                    f"({policy.max_worker_respawns}) is exhausted; the "
-                    "task may be killing its worker deterministically — "
-                    "try the 'threads' or 'serial' executor"
-                )
-            budget["left"] -= 1
-            budget["respawns"][victim] += 1
-            process, receiver, _ = self._spawn(
-                ctx, tasks, lost, policy, restarts, spawned
-            )
-            pending = lost
+                if copy is None or not copy.done() or not copy.result().ok:
+                    return expected
+                outcome = copy.result()
+                outcome.speculated = True
+                outcome.speculative_win = True
+                outcomes[expected] = outcome
+            self._pos += 1
+            self.task_start = perf_counter()
+        return None
+
+
+def _discard_loser(winner: TaskOutcome, loser: TaskOutcome) -> None:
+    """Keep a speculation loser's deltas as discarded; drop its spills."""
+    winner.discarded_stats.extend(loser.attempt_stats)
+    # The losing attempt may have spilled its buckets; those segment
+    # files will never be adopted.
+    discard_spill_refs(loser.value)
 
 
 def _forked_worker(conn, tasks, indices, policy, restarts):
@@ -589,7 +586,9 @@ def _forked_worker(conn, tasks, indices, policy, restarts):
                 policy.stage, index, restarts[index]
             ):
                 os._exit(CHAOS_KILL_EXIT_CODE)
+            begin_cache_capture()
             outcome = run_task_with_retries(tasks[index], policy, index)
+            outcome.cache_fills = end_cache_capture()
             try:
                 conn.send((index, outcome))
             except Exception as exc:  # unpicklable result or error

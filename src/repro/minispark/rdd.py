@@ -13,6 +13,11 @@ programming model the paper's algorithms are written against:
   shuffled records — the numbers the cluster cost model replays;
 * ``cache()`` pins computed partitions in memory, which is what makes the
   CL algorithm's iterative multi-phase structure profitable on Spark.
+  On the ``processes`` backend a partition first computed inside a
+  forked worker is shipped back with the task's outcome
+  (:func:`begin_cache_capture` / :func:`end_cache_capture`) and pinned
+  in the driver (:func:`install_cache_fills`), so the next stage's fork
+  inherits it exactly as threads share it.
 
 Tasks run sequentially in-process (deterministic and measurable); cluster
 parallelism is answered by :class:`repro.minispark.cluster.ClusterModel`.
@@ -23,11 +28,58 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
+import pickle
 import random
+import threading
 from typing import Callable, Iterable, Iterator
 
 from .accumulators import scoped_iterator
 from .partitioner import HashPartitioner, Partitioner, RangePartitioner
+
+
+#: Per-thread record of the cached partitions the running task computed
+#: first.  Only a forked worker installs one: its ``_cache_store`` writes
+#: die with the process, so the partitions must travel back to the driver.
+_CAPTURE = threading.local()
+
+
+def begin_cache_capture() -> None:
+    """Start recording the cached partitions this thread computes."""
+    _CAPTURE.fills = {}
+
+
+def end_cache_capture() -> dict:
+    """Stop recording; return ``{(rdd_id, index): pickled partition}``.
+
+    Every recorded partition is complete (``RDD.iterator`` stores a
+    partition only once its iterator is exhausted), whether the attempt
+    that computed it went on to succeed or not.  A partition that does
+    not pickle stays worker-local and later stages recompute it.
+    """
+    fills, _CAPTURE.fills = _CAPTURE.fills, None
+    shipped = {}
+    for key, records in fills.items():
+        try:
+            shipped[key] = pickle.dumps(records, pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            continue
+    return shipped
+
+
+def install_cache_fills(cached_rdds: Iterable["RDD"], fills: dict) -> None:
+    """Pin partitions shipped by :func:`end_cache_capture` in the driver.
+
+    They stay pickled until first read: the driver of a processes run
+    only ever forks, and an unpickled copy shares no object with the
+    dataset or the shuffle buckets it was derived from, so holding lists
+    here would cost the driver (and, copy-on-write, every later worker)
+    the whole partition a second time.
+    """
+    by_id = {rdd.rdd_id: rdd for rdd in cached_rdds}
+    for (rdd_id, index), data in fills.items():
+        rdd = by_id.get(rdd_id)
+        if rdd is not None and rdd._cached:
+            rdd._cache_store.setdefault(index, data)
 
 
 class Dependency:
@@ -118,9 +170,15 @@ class RDD:
         """Compute one partition, honouring the cache."""
         if not self._cached:
             return self.compute(index)
-        if index not in self._cache_store:
-            self._cache_store[index] = list(self.compute(index))
-        return iter(self._cache_store[index])
+        records = self._cache_store.get(index)
+        if records is None:
+            records = self._cache_store[index] = list(self.compute(index))
+            fills = getattr(_CAPTURE, "fills", None)
+            if fills is not None:
+                fills[self.rdd_id, index] = records
+        elif isinstance(records, bytes):  # shipped by a forked worker
+            records = self._cache_store[index] = pickle.loads(records)
+        return iter(records)
 
     def cache(self) -> "RDD":
         """Keep computed partitions in memory for reuse across jobs."""

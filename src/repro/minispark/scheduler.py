@@ -46,6 +46,12 @@ payload bytes on the pickle plane.  ``shuffle_bytes`` stays pure shuffle
 traffic: the stride-sampled estimator and the shuffle checksum serialize
 broadcast handles without payloads (``handles_only``).
 
+Cached partitions: a ``cache()``d partition first computed inside a
+forked worker comes back inside that task's ``TaskOutcome``; the
+scheduler pins it in the driver after the stage
+(:func:`repro.minispark.rdd.install_cache_fills`), so the next stage's
+fork inherits it and no backend computes a cached partition twice.
+
 Every task attempt is timed with ``perf_counter``; the durations, record
 counts, shuffle volumes, recovery events, and each stage's wall-clock time
 land in a :class:`~repro.minispark.metrics.JobMetrics` that the cluster
@@ -72,7 +78,7 @@ from time import perf_counter
 from .broadcast import handles_only
 from .chaos import TaskPolicy
 from .metrics import JobMetrics, StageMetrics
-from .rdd import RDD, ShuffleDependency
+from .rdd import RDD, ShuffleDependency, install_cache_fills
 from .spill import SpilledBucket, read_retries_total, sampled_records_bytes
 
 #: Errors that mean "this record cannot be pickled", which is bookkeeping
@@ -221,6 +227,17 @@ class Scheduler:
                 )
             if tracer is not None:
                 tracer.end(span)
+        # Pin what forked workers cached before the next stage forks.
+        # A shipped partition is complete and deterministic whatever
+        # became of the task that computed it, so failed tasks and
+        # respawned workers contribute too.  Serial/threads tasks (and
+        # driver-side speculative copies) wrote the driver's caches
+        # themselves and ship nothing.
+        cache_fills = {}
+        for outcome in outcomes:
+            cache_fills.update(outcome.cache_fills)
+        if cache_fills:
+            install_cache_fills(self.context._cached_rdds, cache_fills)
         for index, outcome in enumerate(outcomes):
             stage.attempt_seconds.extend(outcome.attempt_seconds)
             if outcome.attempt_seconds:
@@ -265,6 +282,11 @@ class Scheduler:
                 span.annotate(
                     broadcast_bytes=stage.broadcast_bytes,
                     broadcast_handles=stage.broadcast_handles,
+                )
+            if cache_fills:
+                span.annotate(
+                    cache_partitions_shipped=len(cache_fills),
+                    cache_bytes_shipped=sum(map(len, cache_fills.values())),
                 )
         for outcome in outcomes:
             if not outcome.ok:

@@ -50,11 +50,18 @@ def raw_threshold(theta: float, k: int) -> float:
     """Convert a normalized threshold to raw Footrule mass.
 
     The result is intentionally *not* floored: verification compares the
-    integer distance with ``<=`` against this float, which is exact.
+    integer distance with ``<=`` against this float.  A product within
+    1e-9 of an integer is snapped to it, because the float product can
+    land just below a threshold the caller wrote exactly
+    (``0.70 * 650 == 454.99999999999994``) and would then reject
+    distance 455, i.e. normalized distance exactly 0.70.
     """
     if theta < 0:
         raise ValueError(f"threshold must be non-negative, got {theta}")
-    return theta * max_footrule(k)
+    raw = theta * max_footrule(k)
+    if 1e-9 < raw % 1.0 < 1.0 - 1e-9:
+        return raw
+    return float(round(raw))
 
 
 def admits_disjoint_pairs(theta_raw: float, k: int) -> bool:

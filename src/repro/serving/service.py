@@ -262,11 +262,15 @@ class SearchService:
         self.metrics.inserts += 1
         k = self.index.k
         stale = []
+        limits: dict = {}  # theta -> raw threshold, once per insert
         for key, (_pairs, _rids, query) in self._cache.items():
             _rid, _items, theta, include_self = key
             if not include_self and ranking.rid == query.rid:
                 continue
-            if footrule(query, ranking) <= raw_threshold(theta, k):
+            limit = limits.get(theta)
+            if limit is None:
+                limit = limits[theta] = raw_threshold(theta, k)
+            if footrule(query, ranking) <= limit:
                 stale.append(key)
         for key in stale:
             del self._cache[key]

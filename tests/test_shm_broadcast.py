@@ -98,7 +98,15 @@ def test_shm_run_equals_pickle_run_equals_bruteforce(
     shm = _run(dataset, theta, algorithm, token_format, shm_ctx)
     pickle_ctx = Context(3, shm_broadcast=False)
     pickled = _run(dataset, theta, algorithm, token_format, pickle_ctx)
-    assert _pairs(shm) == _pairs(pickled) == _pairs(expected)
+    assert _pairs(shm) == _pairs(pickled)
+    # CL's triangle-accepted pairs carry no distance (``None``), so only
+    # the pair set and the distances the join verified are comparable
+    # with brute force.
+    exact = {(i, j): d for i, j, d in expected.pairs}
+    assert shm.pair_set() == set(exact)
+    assert all(
+        d == exact[i, j] for i, j, d in shm.pairs if d is not None
+    )
     assert vars(shm.stats) == vars(pickled.stats)
     _assert_clean(shm_ctx)
     _assert_clean(pickle_ctx)
