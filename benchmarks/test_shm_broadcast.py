@@ -2,7 +2,7 @@
 
 The acceptance bar for the shared-memory broadcast plane: on the
 fork-based processes backend over the paper's large top-25 workload,
-every compact-path algorithm returns exactly the pickle-plane pairs and
+every prefix-filter algorithm returns exactly the pickle-plane pairs and
 ``JoinStats``, publishes each broadcast payload into exactly one
 shared-memory segment, charges every referencing stage only
 handle-sized closure bytes (the pickle plane charges the payload per
@@ -25,7 +25,7 @@ from repro.minispark.broadcast import shm_available
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: The paper's large top-25 cut: the compact path broadcasts its whole
+#: The paper's large top-25 cut: every join broadcasts its whole
 #: code matrix + rid index, so this is where plane cost is visible.
 WORKLOAD = "orku25x34"
 THETA = 0.25
@@ -48,7 +48,6 @@ def _config(algorithm: str, shm: bool) -> RunConfig:
         num_partitions=16,
         executor="processes",
         max_workers=4,
-        token_format="compact",
         shm_broadcast=shm,
     )
 

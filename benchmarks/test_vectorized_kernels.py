@@ -1,4 +1,4 @@
-"""Vectorized vs scalar verification kernels across algorithms and formats.
+"""Vectorized vs scalar verification kernels across algorithms.
 
 Two sweeps share one JSON (``results/BENCH_vectorized_kernels.json``):
 
@@ -10,10 +10,10 @@ Two sweeps share one JSON (``results/BENCH_vectorized_kernels.json``):
   timing noise).  The acceptance bar asserted here — and pinned in CI by
   ``scripts/check_kernel_speedup.py`` — is a >=10x verification speedup
   with byte-identical results and counters.
-* **Small** — all four algorithms x both kernels x both token formats on
-  DBLP, checking the kernel switch is a pure implementation swap
-  everywhere: identical result counts and filter-funnel counters, with a
-  per-phase wall breakdown for the record.
+* **Small** — all four algorithms x both kernels on DBLP, checking the
+  kernel switch is a pure implementation swap everywhere: identical
+  result counts and filter-funnel counters, with a per-phase wall
+  breakdown for the record.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ LARGE_THETA = 0.15
 SMALL_WORKLOAD = "dblp"
 SMALL_THETA = 0.25
 KERNELS = ["scalar", "vectorized"]
-FORMATS = ["compact", "legacy"]
 ALGORITHMS = ["vj", "vj-nl", "cl", "cl-p"]
 SPEEDUP_FLOOR = 10.0
 
@@ -77,22 +76,18 @@ def test_vectorized_kernels(benchmark, report):
                     )
                 )
         small = {
-            kernel: {
-                fmt: [
-                    run(
-                        RunConfig(
-                            algorithm=algorithm,
-                            workload=SMALL_WORKLOAD,
-                            theta=SMALL_THETA,
-                            num_partitions=64,
-                            token_format=fmt,
-                            kernel=kernel,
-                        )
+            kernel: [
+                run(
+                    RunConfig(
+                        algorithm=algorithm,
+                        workload=SMALL_WORKLOAD,
+                        theta=SMALL_THETA,
+                        num_partitions=64,
+                        kernel=kernel,
                     )
-                    for algorithm in ALGORITHMS
-                ]
-                for fmt in FORMATS
-            }
+                )
+                for algorithm in ALGORITHMS
+            ]
             for kernel in KERNELS
         }
         return large, small
@@ -118,28 +113,27 @@ def test_vectorized_kernels(benchmark, report):
             },
         ),
     ]
-    for fmt in FORMATS:
-        tables.append(
-            format_series_table(
-                f"DBLP, theta={SMALL_THETA}, {fmt} tokens — wall time",
-                "algorithm", ALGORITHMS,
-                {
-                    kernel: [r.wall_seconds for r in small[kernel][fmt]]
-                    for kernel in KERNELS
-                },
-            )
+    tables.append(
+        format_series_table(
+            f"DBLP, theta={SMALL_THETA} — wall time",
+            "algorithm", ALGORITHMS,
+            {
+                kernel: [r.wall_seconds for r in small[kernel]]
+                for kernel in KERNELS
+            },
         )
+    )
     # One breakdown table per algorithm family — VJ and CL run through
     # different phase pipelines, so a shared matrix would be mostly holes.
     by_algorithm = {
         record.config.algorithm: record
-        for record in small["vectorized"]["compact"]
+        for record in small["vectorized"]
     }
     for family in (["vj", "vj-nl"], ["cl", "cl-p"]):
         phase_names = list(by_algorithm[family[0]].phase_seconds)
         tables.append(
             format_series_table(
-                f"DBLP, theta={SMALL_THETA}, compact+vectorized — "
+                f"DBLP, theta={SMALL_THETA}, vectorized — "
                 f"{'/'.join(family)} phase breakdown",
                 "phase", phase_names,
                 {
@@ -177,20 +171,18 @@ def test_vectorized_kernels(benchmark, report):
     flat += [
         _payload(r, kernel)
         for kernel in KERNELS
-        for fmt in FORMATS
-        for r in small[kernel][fmt]
+        for r in small[kernel]
     ]
     write_bench_json(RESULTS_DIR, "vectorized_kernels", flat, extra=summary)
 
     # Byte-identical outcomes on the large run...
     assert vectorized.result_count == scalar.result_count
     assert vectorized.stats == scalar.stats
-    # ...and across every algorithm x token format at small scale.
-    for fmt in FORMATS:
-        for index, algorithm in enumerate(ALGORITHMS):
-            a = small["scalar"][fmt][index]
-            b = small["vectorized"][fmt][index]
-            assert a.result_count == b.result_count, (algorithm, fmt)
-            assert a.stats == b.stats, (algorithm, fmt)
+    # ...and across every algorithm at small scale.
+    for index, algorithm in enumerate(ALGORITHMS):
+        a = small["scalar"][index]
+        b = small["vectorized"][index]
+        assert a.result_count == b.result_count, algorithm
+        assert a.stats == b.stats, algorithm
     # The acceptance bar: >=10x on the verification phase at n>=50k.
     assert verify_speedup >= SPEEDUP_FLOOR, verify_speedup

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """CI guard: broadcasts must ship handles, not payloads, on the shm plane.
 
-Runs the compact token path for VJ and CL on a fixed deterministic
-workload (DBLP profile, size_factor 0.3, seed 0, processes executor,
-8 partitions) on both broadcast planes and asserts the zero-copy
-contract:
+Runs VJ and CL on a fixed deterministic workload (DBLP profile,
+size_factor 0.3, seed 0, processes executor, 8 partitions) on both
+broadcast planes and asserts the zero-copy contract:
 
 * on the shared-memory plane every stage that references a broadcast is
   charged only handle-sized closure bytes (segment name + metadata, a
@@ -43,10 +42,7 @@ def run_plane(join, dataset, shm: bool):
         default_parallelism=NUM_PARTITIONS, executor="processes",
         shm_broadcast=shm,
     )
-    result = join(
-        ctx, dataset, THETA, num_partitions=NUM_PARTITIONS,
-        token_format="compact",
-    )
+    result = join(ctx, dataset, THETA, num_partitions=NUM_PARTITIONS)
     charged = [
         (stage.name, stage.broadcast_bytes)
         for job in ctx.metrics.jobs

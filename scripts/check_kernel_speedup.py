@@ -3,8 +3,8 @@
 
 Two checks, mirroring ``check_shuffle_regression.py``:
 
-1. **Speedup floor.**  Runs VJ (index variant, compact tokens, serial
-   executor, 64 partitions) on a fixed deterministic workload large
+1. **Speedup floor.**  Runs VJ (index variant, serial executor, 64
+   partitions) on a fixed deterministic workload large
    enough to saturate the kernels (orku25 profile at scale 34 —
    n=51000 rankings of length k=25 — theta 0.15, seed 0) with both
    verification kernels and compares the *verification-phase wall time*
@@ -69,7 +69,6 @@ def _run(dataset, kernel: str):
         dataset,
         THETA,
         num_partitions=NUM_PARTITIONS,
-        token_format="compact",
         kernel=kernel,
     )
     verify = ctx.tracer.digest()["phase_seconds"]["verify"]
@@ -205,7 +204,6 @@ def main(argv: list[str] | None = None) -> int:
             "seed": SEED,
             "theta": THETA,
             "num_partitions": NUM_PARTITIONS,
-            "token_format": "compact",
             "algorithm": "vj",
             "speedup_floor": DEFAULT_FLOOR,
             "measured": measurement,

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """CI guard: shuffle records/bytes must not regress past the baseline.
 
-Runs the compact token path for VJ and CL on a fixed deterministic
-workload (DBLP profile, size_factor 0.3, seed 0, serial executor,
-8 partitions) and compares the total shuffled records and sampled
-shuffled bytes against the committed baseline
+Runs VJ and CL on a fixed deterministic workload (DBLP profile,
+size_factor 0.3, seed 0, serial executor, 8 partitions) and compares the
+total shuffled records and sampled shuffled bytes against the committed
+baseline
 ``benchmarks/results/SHUFFLE_BASELINE.json``.  The check fails when
 either total exceeds its baseline by more than 10% — the margin absorbs
 pickle-size drift between Python versions while still catching a
@@ -58,7 +58,6 @@ def measure() -> dict:
             dataset,
             THETA,
             num_partitions=NUM_PARTITIONS,
-            token_format="compact",
         )
         combined = ctx.metrics.combined()
         digest = ctx.tracer.digest()
@@ -93,7 +92,6 @@ def main(argv: list[str] | None = None) -> int:
             "seed": 0,
             "theta": THETA,
             "num_partitions": NUM_PARTITIONS,
-            "token_format": "compact",
             "totals": current,
         }
         args.baseline.parent.mkdir(parents=True, exist_ok=True)

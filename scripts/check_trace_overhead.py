@@ -47,8 +47,7 @@ def time_run(dataset, traced: bool) -> tuple[float, Context]:
         tracer=traced,
     )
     start = perf_counter()
-    cl_join(ctx, dataset, THETA, num_partitions=NUM_PARTITIONS,
-            token_format="compact")
+    cl_join(ctx, dataset, THETA, num_partitions=NUM_PARTITIONS)
     return perf_counter() - start, ctx
 
 

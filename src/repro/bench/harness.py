@@ -58,7 +58,6 @@ class RunConfig:
     seed: int = 0
     executor: str = "serial"
     max_workers: int | None = None
-    token_format: str = "compact"
     kernel: str = "vectorized"
     task_retries: int = 0
     chaos: FaultPlan | None = None
@@ -127,11 +126,6 @@ def run(
         spill_dir=config.spill_dir,
         shm_broadcast=config.shm_broadcast,
     )
-    if ctx.executor.name == "processes" and config.token_format == "legacy":
-        # Compact tokens never ship ranking objects, so prebuilding the
-        # per-ranking rank tables only pays off on the legacy format.
-        for ranking in dataset.rankings:
-            ranking.build_ranks()
 
     try:
         start = perf_counter()
@@ -175,7 +169,6 @@ def _dispatch(ctx: Context, dataset, config: RunConfig) -> JoinResult:
             variant=config.variant or "index",
             use_position_filter=config.use_position_filter,
             seed=config.seed,
-            token_format=config.token_format,
             kernel=config.kernel,
         )
     if config.algorithm == "vj-nl":
@@ -184,7 +177,6 @@ def _dispatch(ctx: Context, dataset, config: RunConfig) -> JoinResult:
             variant="nl",
             use_position_filter=config.use_position_filter,
             seed=config.seed,
-            token_format=config.token_format,
             kernel=config.kernel,
         )
     if config.algorithm == "cl":
@@ -196,7 +188,6 @@ def _dispatch(ctx: Context, dataset, config: RunConfig) -> JoinResult:
             use_position_filter=config.use_position_filter,
             triangle_accept=config.triangle_accept,
             seed=config.seed,
-            token_format=config.token_format,
             kernel=config.kernel,
         )
     if config.algorithm == "cl-p":
@@ -212,7 +203,6 @@ def _dispatch(ctx: Context, dataset, config: RunConfig) -> JoinResult:
             use_position_filter=config.use_position_filter,
             triangle_accept=config.triangle_accept,
             seed=config.seed,
-            token_format=config.token_format,
             kernel=config.kernel,
         )
     raise ValueError(f"unknown algorithm {config.algorithm!r}")

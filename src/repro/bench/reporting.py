@@ -87,7 +87,6 @@ def record_payload(record) -> dict:
         "num_partitions": config.num_partitions,
         "executor": config.executor,
         "max_workers": config.max_workers,
-        "token_format": getattr(config, "token_format", "legacy"),
         "wall_seconds": record.wall_seconds,
         "simulated_seconds": dict(record.simulated),
         "result_count": record.result_count,

@@ -97,10 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--max-workers", type=int, default=None,
                       help="worker count for threads/processes "
                       "(default: CPU count)")
-    join.add_argument("--token-format", choices=("compact", "legacy"),
-                      default="compact",
-                      help="shuffle payload for vj/vj-nl/cl/cl-p: compact "
-                      "integer tokens (default) or legacy ranking objects")
     join.add_argument("--kernel", choices=("vectorized", "scalar"),
                       default="vectorized",
                       help="verification kernel for vj/vj-nl/cl/cl-p: "
@@ -236,7 +232,6 @@ def _cmd_join(args) -> int:
     dataset = RankingDataset.load(args.dataset)
     options: dict = {}
     if args.algorithm in ("vj", "vj-nl", "cl", "cl-p"):
-        options["token_format"] = args.token_format
         options["kernel"] = args.kernel
     if args.algorithm in ("cl", "cl-p"):
         options["theta_c"] = args.theta_c
@@ -259,20 +254,24 @@ def _cmd_join(args) -> int:
             spill_write_error_rate=args.chaos_spill_write_error_rate,
             shm_unlink_rate=args.chaos_shm_unlink_rate,
         )
-    ctx = Context(
-        default_parallelism=args.partitions,
-        executor=args.executor, max_workers=args.max_workers,
-        task_retries=args.task_retries, chaos=chaos,
-        speculation=SpeculationPolicy() if args.speculation else None,
-        tracer=True if (args.trace_out or args.trace_summary) else None,
-        memory_budget_bytes=args.memory_budget,
-        spill_dir=args.spill_dir,
-        shm_broadcast=False if args.no_shm else None,
-    )
-    result = similarity_join(
-        dataset, args.theta, algorithm=args.algorithm, ctx=ctx,
-        num_partitions=args.partitions, **options,
-    ).with_distances(dataset)
+    try:
+        ctx = Context(
+            default_parallelism=args.partitions,
+            executor=args.executor, max_workers=args.max_workers,
+            task_retries=args.task_retries, chaos=chaos,
+            speculation=SpeculationPolicy() if args.speculation else None,
+            tracer=True if (args.trace_out or args.trace_summary) else None,
+            memory_budget_bytes=args.memory_budget,
+            spill_dir=args.spill_dir,
+            shm_broadcast=False if args.no_shm else None,
+        )
+        result = similarity_join(
+            dataset, args.theta, algorithm=args.algorithm, ctx=ctx,
+            num_partitions=args.partitions, **options,
+        ).with_distances(dataset)
+    except ValueError as error:
+        print(f"repro join: error: {error}", file=sys.stderr)
+        return 2
 
     lines = [f"{i} {j} {d}" for i, j, d in sorted(result.pairs)]
     if args.output:

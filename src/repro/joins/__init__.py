@@ -3,12 +3,7 @@
 from .api import ALGORITHMS, similarity_join
 from .bruteforce import bruteforce_join
 from .clustered import cl_join, clp_join
-from .compact import (
-    TOKEN_FORMATS,
-    compact_ordering,
-    first_common,
-    validate_token_format,
-)
+from .compact import compact_ordering, first_common
 from .grouping import distinct_pairs, grouped_join
 from .jaccard import jaccard_bruteforce, jaccard_join, jaccard_join_local
 from .kernels import (
@@ -42,7 +37,6 @@ __all__ = [
     "JoinStats",
     "KERNELS",
     "PrefixFilterJoin",
-    "TOKEN_FORMATS",
     "batch_filter_verify",
     "bruteforce_join",
     "canonical_pair",
@@ -65,7 +59,6 @@ __all__ = [
     "store_batch_verify",
     "triangle_bounds",
     "validate_kernel",
-    "validate_token_format",
     "verify",
     "violates_position_filter",
     "vj_join",

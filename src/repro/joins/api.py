@@ -54,7 +54,6 @@ def similarity_join(
     num_partitions: int | None = None,
     executor: str | None = None,
     max_workers: int | None = None,
-    token_format: str | None = None,
     kernel: str | None = None,
     task_retries: int | None = None,
     chaos: FaultPlan | None = None,
@@ -87,13 +86,6 @@ def similarity_join(
         pass ``Context(executor=...)`` to combine the two.
     max_workers:
         Worker count for the parallel backends (defaults to CPU count).
-    token_format:
-        Shuffle payload of the prefix-filter algorithms (vj, vj-nl, cl,
-        cl-p): ``"compact"`` (integer-encoded slim tokens + broadcast
-        ranking store + rarest-item deduplication, the default) or
-        ``"legacy"`` (full ranking objects per token, deduplicated by
-        shuffle).  Results are identical; only shuffle volume differs.
-        Rejected for algorithms without a token pipeline.
     kernel:
         Verification implementation of the prefix-filter algorithms:
         ``"vectorized"`` (columnar batch kernels over numpy arrays, the
@@ -171,12 +163,6 @@ def similarity_join(
                     f"pass either ctx or {name}, not both — build the "
                     f"context with Context({name}=...) instead"
                 )
-    if token_format is not None:
-        if algorithm not in ("vj", "vj-nl", "cl", "cl-p"):
-            raise ValueError(
-                f"token_format does not apply to algorithm {algorithm!r}"
-            )
-        options["token_format"] = token_format
     if kernel is not None:
         if algorithm not in ("vj", "vj-nl", "cl", "cl-p"):
             raise ValueError(
@@ -199,16 +185,13 @@ def similarity_join(
         spill_dir=spill_dir,
         shm_broadcast=shm_broadcast,
     )
-    ships_rankings = (
-        algorithm not in ("vj", "vj-nl", "cl", "cl-p")
-        or options.get("token_format", "compact") == "legacy"
-    )
+    ships_rankings = algorithm not in ("vj", "vj-nl", "cl", "cl-p")
     if ctx.executor.name == "processes" and ships_rankings:
         # Build each ranking's item -> rank table up front: the tables are
         # pickled with the rankings, so forked verification tasks skip the
         # lazy per-object re-derivation on their private copies.  The
-        # compact token format never ships ranking objects (workers read
-        # the broadcast columnar store), so it skips this driver-side pass.
+        # prefix-filter joins never ship ranking objects (workers read
+        # the broadcast columnar store), so they skip this driver-side pass.
         for ranking in dataset.rankings:
             ranking.build_ranks()
     try:

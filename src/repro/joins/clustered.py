@@ -62,23 +62,17 @@ from .compact import (
     emit_prefix_tokens,
     make_compact_kernels,
     make_compact_typed_kernels,
-    pair_threshold as _pair_threshold,  # noqa: F401 — canonical home moved
-    typed_threshold_table,
-    validate_token_format,
 )
 from .grouping import distinct_pairs, grouped_join
 from .kernels import (
     GroupColumns,
     _pair_chunks,
     batch_filter_verify,
-    legacy_typed_group_batch,
-    legacy_typed_rs_batch,
     store_batch_verify,
     validate_kernel,
 )
 from .types import JoinResult, JoinStats, canonical_pair
-from .verification import verify, violates_position_filter
-from .vj import order_rankings_rdd
+from .verification import verify
 
 
 def cl_join(
@@ -93,21 +87,22 @@ def cl_join(
     singleton_prefix: str = "safe",
     triangle_accept: bool = True,
     seed: int = 0,
-    token_format: str = "compact",
     kernel: str = "vectorized",
 ) -> JoinResult:
     """Run the clustering-based similarity join (CL; CL-P with delta).
 
     ``theta`` and ``theta_c`` are normalized; ``theta_c <= theta`` is
     required (the paper recommends ``theta_c < 0.05`` and uses 0.03).
-    ``token_format="compact"`` (the default) runs every shuffle over slim
-    integer-encoded records with a broadcast ranking store and the
-    rarest-common-prefix-item deduplication (:mod:`repro.joins.compact`);
-    ``"legacy"`` ships full ranking objects and deduplicates by shuffle.
+    Every shuffled record carries rids and small ints, not ranking
+    objects (:mod:`repro.joins.compact`): cluster pairs are ``((i, j),
+    d)``, clusters ``(centroid_rid, [(member_rid, d), ...])``, join records
+    ``((i, j), (d, singleton_i, singleton_j))``.  Full rankings are
+    resolved from the broadcast store only at verification.  The
+    rarest-item rule makes the clustering and joining outputs
+    duplicate-free, so only the expansion phase ends in a
+    ``distinct_pairs`` shuffle (its sub-phases overlap in what they emit).
     ``kernel`` selects batch (``"vectorized"``) or per-pair
-    (``"scalar"``) verification; results and stats are identical.  On
-    the legacy format the expansion phase always runs scalar (it carries
-    ranking objects, not store rows); the compact expansion vectorizes.
+    (``"scalar"``) verification; results and stats are identical.
     """
     if not 0.0 <= theta_c <= theta:
         raise ValueError(
@@ -117,7 +112,6 @@ def cl_join(
         raise ValueError(f"unknown singleton_prefix {singleton_prefix!r}")
     if variant not in ("index", "nl"):
         raise ValueError(f"unknown variant {variant!r}")
-    validate_token_format(token_format)
     validate_kernel(kernel)
 
     num_partitions = num_partitions or ctx.default_parallelism
@@ -133,526 +127,10 @@ def cl_join(
         from .bruteforce import bruteforce_join
 
         return bruteforce_join(dataset, theta)
-    if token_format == "compact":
-        return _cl_join_compact(
-            ctx, dataset, theta, theta_c, num_partitions, variant,
-            partition_threshold, use_position_filter, singleton_prefix,
-            triangle_accept, seed, kernel,
-        )
     stats = JoinStats()
     # Worker-side kernels count through the channel so every counter is
     # exact on all executor backends; driver-side summary fields
     # (clusters, singletons, cluster_members) stay on the plain object.
-    channel = ctx.stats_channel(JoinStats, stats)
-    phase_seconds: dict = {}
-    pinned: list = []
-
-    # Broadcast scope: any segment published during this join is
-    # unlinked when the join finishes.
-    ctx.broadcasts.push_scope()
-    try:
-        # -------------------------------------------------- Phase 1: order
-        with phase_scope(ctx, "ordering", phase_seconds):
-            rdd = ctx.parallelize(dataset.rankings, num_partitions)
-            ordered = order_rankings_rdd(ctx, rdd).cache()
-            pinned.append(ordered)
-            by_id = ordered.key_by(lambda o: o.rid).cache()
-            pinned.append(by_id)
-            by_id.count()
-
-        # ------------------------------------------------ Phase 2: cluster
-        with phase_scope(ctx, "clustering", phase_seconds):
-            cluster_pairs = _cluster_pairs(
-                ctx, ordered, theta_c_raw, k, num_partitions, variant,
-                use_position_filter, channel, kernel,
-            ).cache()
-            pinned.append(cluster_pairs)
-            clusters = _build_clusters(
-                cluster_pairs, by_id, num_partitions
-            ).cache()
-            pinned.append(clusters)
-            singletons = _find_singletons(
-                cluster_pairs, by_id, num_partitions
-            ).cache()
-            pinned.append(singletons)
-            stats.clusters = clusters.count()
-            stats.singletons = singletons.count()
-            stats.cluster_members = cluster_pairs.count()
-            member_member = clusters.flat_map(
-                lambda kv: _same_cluster_pairs(
-                    kv[1][1], theta_raw, theta_c_raw, channel
-                )
-            )
-
-        # --------------------------------------------------- Phase 3: join
-        with phase_scope(ctx, "joining", phase_seconds):
-            p_m = overlap_prefix_size(theta_o_raw, k)
-            if singleton_prefix == "safe":
-                p_s = overlap_prefix_size(theta_raw + theta_c_raw, k)
-            else:
-                p_s = overlap_prefix_size(theta_raw, k)
-
-            centroids = clusters.map(lambda kv: (kv[1][0], False)).union(
-                singletons.map(lambda kv: (kv[1], True))
-            )
-
-            def emit_tokens(tagged):
-                centroid, is_singleton = tagged
-                prefix = p_s if is_singleton else p_m
-                return (
-                    (item, (centroid, is_singleton))
-                    for item, _rank in centroid.prefix(prefix)
-                )
-
-            joined = grouped_join(
-                ctx,
-                centroids.flat_map(emit_tokens),
-                num_partitions,
-                _typed_kernel(
-                    variant, p_m, p_s, theta_raw, theta_c_raw, channel,
-                    use_position_filter, kernel,
-                ),
-                rs_kernel=_typed_rs_kernel(
-                    theta_raw, theta_c_raw, channel, use_position_filter,
-                    kernel,
-                ),
-                partition_threshold=partition_threshold,
-                stats=channel,
-                seed=seed,
-                pinned=pinned,
-            )
-            r_join = distinct_pairs(joined, num_partitions).cache()
-            pinned.append(r_join)
-            r_join.count()
-
-        # ----------------------------------------------- Phase 4: expansion
-        with phase_scope(ctx, "expansion", phase_seconds):
-            r_ss = r_join.filter(lambda kv: kv[1][1] and kv[1][3]).map(
-                lambda kv: (kv[0], kv[1][0])
-            )
-            r_m = r_join.filter(
-                lambda kv: not (kv[1][1] and kv[1][3])
-            ).cache()
-            pinned.append(r_m)
-            r_m_direct = r_m.filter(lambda kv: kv[1][0] <= theta_raw).map(
-                lambda kv: (kv[0], kv[1][0])
-            )
-
-            def direct_sides(kv):
-                (rid_i, rid_j), (d, singleton_i, other_i, singleton_j,
-                                 other_j) = kv
-                if not singleton_i:
-                    yield (rid_i, (other_j, d))
-                if not singleton_j:
-                    yield (rid_j, (other_i, d))
-
-            r_m_directed = r_m.flat_map(direct_sides)
-            member_centroid = clusters.join(
-                r_m_directed, num_partitions
-            ).flat_map(
-                lambda kv: _expand_member_centroid(
-                    kv[1][0][1], kv[1][1], theta_raw, channel, triangle_accept
-                )
-            )
-
-            both_m = r_m.filter(lambda kv: not kv[1][1] and not kv[1][3])
-            first_hop = (
-                both_m.map(lambda kv: (kv[0][0], (kv[0][1], kv[1][0])))
-                .join(clusters, num_partitions)
-                .flat_map(
-                    lambda kv: (
-                        (kv[1][0][0], (member, dist, kv[1][0][1]))
-                        for member, dist in kv[1][1][1]
-                    )
-                )
-            )
-            member_member_across = first_hop.join(
-                clusters, num_partitions
-            ).flat_map(
-                lambda kv: _expand_member_member(
-                    kv[1][0], kv[1][1][1], theta_raw, channel, triangle_accept
-                )
-            )
-
-            everything = (
-                cluster_pairs.union(member_member)
-                .union(r_ss)
-                .union(r_m_direct)
-                .union(member_centroid)
-                .union(member_member_across)
-            )
-            final = distinct_pairs(everything, num_partitions).collect()
-    finally:
-        for cached in pinned:
-            cached.unpersist()
-        ctx.broadcasts.pop_scope()
-
-    results = [(i, j, d) for (i, j), d in final]
-    _check_results_counter(stats, final)
-    stats.results = len(results)
-    name = "cl-p" if partition_threshold is not None else "cl"
-    return JoinResult(
-        pairs=results,
-        theta=theta,
-        k=k,
-        stats=stats,
-        phase_seconds=phase_seconds,
-        algorithm=name,
-    )
-
-
-def clp_join(
-    ctx: Context,
-    dataset: RankingDataset,
-    theta: float,
-    partition_threshold: int,
-    theta_c: float = 0.03,
-    **kwargs,
-) -> JoinResult:
-    """CL with repartitioning of large posting lists (the paper's CL-P)."""
-    return cl_join(
-        ctx,
-        dataset,
-        theta,
-        theta_c=theta_c,
-        partition_threshold=partition_threshold,
-        **kwargs,
-    )
-
-
-def _check_results_counter(stats: JoinStats, final: list) -> None:
-    """Cross-backend exactness check on the merged ``results`` counter.
-
-    CL kernels count every concrete (non-``None``-distance) pair they
-    produce; phases can rediscover the same pair, so the merged counter
-    must be at least the number of concrete pairs that survive
-    deduplication.  A smaller counter means worker-side counts were lost
-    — exactly the bug the accumulator channel exists to prevent (the old
-    code unconditionally overwrote the counter here, masking the loss).
-    """
-    concrete = sum(1 for _pair, d in final if d is not None)
-    if stats.results < concrete:
-        raise AssertionError(
-            f"merged results counter {stats.results} < {concrete} concrete "
-            "result pairs — worker-side counts were lost"
-        )
-
-
-# --------------------------------------------------------------- clustering
-
-
-def _cluster_pairs(
-    ctx, ordered, theta_c_raw, k, num_partitions, variant,
-    use_position_filter, stats, kernel="vectorized",
-):
-    """Self-join at the clustering threshold: pairs (i, j), i < j, d <= theta_c."""
-    from .vj import make_kernels
-
-    p_c = overlap_prefix_size(theta_c_raw, k)
-    tokens = ordered.flat_map(
-        lambda o: ((item, o) for item, _rank in o.prefix(p_c))
-    )
-    group_kernel, rs_kernel = make_kernels(
-        variant, p_c, theta_c_raw, stats, use_position_filter, kernel
-    )
-    pairs = grouped_join(ctx, tokens, num_partitions, group_kernel, rs_kernel)
-    return distinct_pairs(pairs, num_partitions)
-
-
-def _build_clusters(cluster_pairs, by_id, num_partitions):
-    """(centroid_id, (centroid, [(member, distance), ...])) from result pairs.
-
-    The smaller id of each pair is the centroid (Figure 3); member ranking
-    objects are fetched by joining on the id-keyed ordered dataset.
-    """
-    member_entries = (
-        cluster_pairs.map(lambda kv: (kv[0][1], (kv[0][0], kv[1])))
-        .join(by_id, num_partitions)
-        .map(lambda kv: (kv[1][0][0], (kv[1][1], kv[1][0][1])))
-    )
-    grouped = member_entries.group_by_key(num_partitions)
-    return grouped.join(by_id, num_partitions).map(
-        lambda kv: (kv[0], (kv[1][1], kv[1][0]))
-    )
-
-
-def _find_singletons(cluster_pairs, by_id, num_partitions):
-    """Rankings in no cluster pair: (rid, ordered_ranking)."""
-    in_pairs = (
-        cluster_pairs.flat_map(lambda kv: (kv[0][0], kv[0][1]))
-        .distinct(num_partitions)
-        .map(lambda rid: (rid, None))
-    )
-    return by_id.subtract_by_key(in_pairs, num_partitions)
-
-
-def _same_cluster_pairs(members, theta_raw, theta_c_raw, stats):
-    """Member-member pairs of one cluster.
-
-    The triangle inequality bounds their distance by ``2 * theta_c``; when
-    that is within ``theta`` they are results without verification.
-    """
-    stats = local_stats(stats)
-    members = sorted(members, key=lambda md: md[0].rid)
-    certain = 2 * theta_c_raw <= theta_raw
-    for a_index, (first, _d1) in enumerate(members):
-        for second, _d2 in members[a_index + 1 :]:
-            pair = canonical_pair(first.rid, second.rid)
-            if certain:
-                stats.triangle_accepted += 1
-                yield (pair, None)
-            else:
-                stats.candidates += 1
-                stats.verified += 1
-                distance = verify(first.ranking, second.ranking, theta_raw)
-                if distance is not None:
-                    stats.results += 1
-                    yield (pair, distance)
-
-
-# ------------------------------------------------------------------ joining
-# (_pair_threshold — Lemma 5.3's per-type retrieval threshold — now lives
-# in repro.joins.compact as pair_threshold, shared by both token formats.)
-
-
-def _typed_value(left, singleton_left, right, singleton_right, distance):
-    """Normalized join record: ids ascending, payload carries both objects."""
-    if left.rid < right.rid:
-        return (
-            (left.rid, right.rid),
-            (distance, singleton_left, left, singleton_right, right),
-        )
-    return (
-        (right.rid, left.rid),
-        (distance, singleton_right, right, singleton_left, left),
-    )
-
-
-def _typed_emit(member_left, member_right, distance):
-    """Map a raw batch-kernel result onto the normalized typed record."""
-    left, singleton_left = member_left
-    right, singleton_right = member_right
-    return _typed_value(left, singleton_left, right, singleton_right, distance)
-
-
-def _typed_kernel(
-    variant, p_m, p_s, theta_raw, theta_c_raw, channel, use_position_filter,
-    kernel="vectorized",
-):
-    """Per-group kernel of Algorithm 1: type-aware thresholds and prefixes.
-
-    ``channel`` is a plain :class:`JoinStats` or an accumulator channel;
-    each kernel resolves its task-local delta once per group.  The
-    Lemma 5.3 thresholds and their position bounds are precomputed per
-    type pair, once per kernel build.
-    """
-    thresholds = typed_threshold_table(theta_raw, theta_c_raw)
-
-    def nested_loop(item, members):
-        stats = local_stats(channel)
-        members = sorted(members, key=lambda tagged: tagged[0].rid)
-        for a_index, (left, singleton_left) in enumerate(members):
-            left_rank = left.ranking.rank_of(item)
-            for right, singleton_right in members[a_index + 1 :]:
-                threshold, bound = thresholds[singleton_left, singleton_right]
-                stats.candidates += 1
-                if use_position_filter and (
-                    abs(left_rank - right.ranking.rank_of(item)) > bound
-                ):
-                    stats.position_filtered += 1
-                    continue
-                stats.verified += 1
-                distance = verify(left.ranking, right.ranking, threshold)
-                if distance is not None:
-                    stats.results += 1
-                    yield _typed_value(
-                        left, singleton_left, right, singleton_right, distance
-                    )
-
-    def indexed(_item, members):
-        stats = local_stats(channel)
-        members = sorted(members, key=lambda tagged: tagged[0].rid)
-        index: dict = {}
-        for probe, singleton_probe in members:
-            probe_prefix = probe.prefix(p_s if singleton_probe else p_m)
-            seen: set = set()
-            for token, _rank in probe_prefix:
-                bucket = index.get(token)
-                if not bucket:
-                    continue
-                for other, singleton_other in bucket:
-                    if other.rid in seen:
-                        continue
-                    seen.add(other.rid)
-                    threshold, _bound = thresholds[
-                        singleton_probe, singleton_other
-                    ]
-                    stats.candidates += 1
-                    if use_position_filter and violates_position_filter(
-                        probe.ranking, other.ranking, threshold
-                    ):
-                        stats.position_filtered += 1
-                        continue
-                    stats.verified += 1
-                    distance = verify(probe.ranking, other.ranking, threshold)
-                    if distance is not None:
-                        stats.results += 1
-                        yield _typed_value(
-                            probe, singleton_probe, other, singleton_other,
-                            distance,
-                        )
-            for token, _rank in probe_prefix:
-                index.setdefault(token, []).append((probe, singleton_probe))
-
-    scalar_kernel = nested_loop if variant == "nl" else indexed
-    if kernel == "scalar":
-        return scalar_kernel
-
-    def batch(item, members):
-        return legacy_typed_group_batch(
-            item, members, theta_raw, theta_c_raw, channel,
-            use_position_filter, variant,
-            fallback=lambda sorted_members: scalar_kernel(
-                item, sorted_members
-            ),
-            emit=_typed_emit,
-        )
-
-    return batch
-
-
-def _typed_rs_kernel(
-    theta_raw, theta_c_raw, channel, use_position_filter, kernel="vectorized"
-):
-    """R-S kernel of Algorithm 1 for repartitioned posting lists (CL-P)."""
-    thresholds = typed_threshold_table(theta_raw, theta_c_raw)
-
-    def rs(item, left_members, right_members):
-        stats = local_stats(channel)
-        for left, singleton_left in left_members:
-            left_rank = left.ranking.rank_of(item)
-            for right, singleton_right in right_members:
-                if left.rid == right.rid:
-                    continue
-                threshold, bound = thresholds[singleton_left, singleton_right]
-                stats.candidates += 1
-                if use_position_filter and (
-                    abs(left_rank - right.ranking.rank_of(item)) > bound
-                ):
-                    stats.position_filtered += 1
-                    continue
-                stats.verified += 1
-                distance = verify(left.ranking, right.ranking, threshold)
-                if distance is not None:
-                    stats.results += 1
-                    yield _typed_value(
-                        left, singleton_left, right, singleton_right, distance
-                    )
-
-    if kernel == "scalar":
-        return rs
-
-    def batch_rs(item, left_members, right_members):
-        return legacy_typed_rs_batch(
-            item, left_members, right_members, theta_raw, theta_c_raw,
-            channel, use_position_filter,
-            fallback=lambda l, r: rs(item, l, r),
-            emit=_typed_emit,
-        )
-
-    return batch_rs
-
-
-# ---------------------------------------------------------------- expansion
-
-
-def _expand_member_centroid(members, other_with_distance, theta_raw, stats,
-                            triangle_accept):
-    """R_{m,c}: members of one cluster against the other pair side."""
-    stats = local_stats(stats)
-    other, centroid_distance = other_with_distance
-    for member, member_distance in members:
-        if member.rid == other.rid:
-            continue
-        stats.candidates += 1
-        lower = abs(centroid_distance - member_distance)
-        if lower > theta_raw:
-            stats.triangle_filtered += 1
-            continue
-        pair = canonical_pair(member.rid, other.rid)
-        if triangle_accept and centroid_distance + member_distance <= theta_raw:
-            stats.triangle_accepted += 1
-            yield (pair, None)
-            continue
-        stats.verified += 1
-        distance = verify(member.ranking, other.ranking, theta_raw)
-        if distance is not None:
-            stats.results += 1
-            yield (pair, distance)
-
-
-def _expand_member_member(hop, members, theta_raw, stats, triangle_accept):
-    """R_{m,m}: members of the first cluster against members of the second."""
-    stats = local_stats(stats)
-    member_i, distance_i, centroid_distance = hop
-    for member_j, distance_j in members:
-        if member_i.rid == member_j.rid:
-            continue
-        stats.candidates += 1
-        lower = centroid_distance - distance_i - distance_j
-        if lower > theta_raw:
-            stats.triangle_filtered += 1
-            continue
-        pair = canonical_pair(member_i.rid, member_j.rid)
-        if (
-            triangle_accept
-            and centroid_distance + distance_i + distance_j <= theta_raw
-        ):
-            stats.triangle_accepted += 1
-            yield (pair, None)
-            continue
-        stats.verified += 1
-        distance = verify(member_i.ranking, member_j.ranking, theta_raw)
-        if distance is not None:
-            stats.results += 1
-            yield (pair, distance)
-
-
-# ------------------------------------------------------------- compact path
-
-
-def _cl_join_compact(
-    ctx: Context,
-    dataset: RankingDataset,
-    theta: float,
-    theta_c: float,
-    num_partitions: int,
-    variant: str,
-    partition_threshold: int | None,
-    use_position_filter: bool,
-    singleton_prefix: str,
-    triangle_accept: bool,
-    seed: int,
-    kernel: str = "vectorized",
-) -> JoinResult:
-    """CL over the compact shuffle path (:mod:`repro.joins.compact`).
-
-    Same four phases as the legacy body, but every shuffled record carries
-    rids and small ints instead of ranking objects: cluster pairs are
-    ``((i, j), d)``, clusters ``(centroid_rid, [(member_rid, d), ...])``,
-    join records ``((i, j), (d, singleton_i, singleton_j))``.  Full
-    rankings are resolved from the broadcast store only at verification.
-    The rarest-item rule makes the clustering and joining outputs
-    duplicate-free, so their ``distinct_pairs`` shuffles disappear; the
-    expansion-phase one stays (phases overlap in what they emit).
-    """
-    k = dataset.k
-    theta_raw = raw_threshold(theta, k)
-    theta_c_raw = raw_threshold(theta_c, k)
-    theta_o_raw = theta_raw + 2 * theta_c_raw
-    stats = JoinStats()
-    # Same channel discipline as the legacy body: worker kernels count
-    # through the channel, driver-derived fields stay on the plain object.
     channel = ctx.stats_channel(JoinStats, stats)
     phase_seconds: dict = {}
     pinned: list = []
@@ -691,8 +169,7 @@ def _cl_join_compact(
             # Centroid/singleton roles, derived once on the driver: the pair
             # ids are a subset of the final result set (d <= theta_c <=
             # theta), so this collect is no larger than the join's own
-            # output, and it spares the legacy path's object-shuffling
-            # subtract/join jobs.
+            # output, and it spares object-shuffling subtract/join jobs.
             pair_ids = cluster_pairs.keys().collect()
             centroid_rids: set = set()
             clustered_rids: set = set()
@@ -827,6 +304,46 @@ def _cl_join_compact(
     )
 
 
+def clp_join(
+    ctx: Context,
+    dataset: RankingDataset,
+    theta: float,
+    partition_threshold: int,
+    theta_c: float = 0.03,
+    **kwargs,
+) -> JoinResult:
+    """CL with repartitioning of large posting lists (the paper's CL-P)."""
+    return cl_join(
+        ctx,
+        dataset,
+        theta,
+        theta_c=theta_c,
+        partition_threshold=partition_threshold,
+        **kwargs,
+    )
+
+
+def _check_results_counter(stats: JoinStats, final: list) -> None:
+    """Cross-backend exactness check on the merged ``results`` counter.
+
+    CL kernels count every concrete (non-``None``-distance) pair they
+    produce; phases can rediscover the same pair, so the merged counter
+    must be at least the number of concrete pairs that survive
+    deduplication.  A smaller counter means worker-side counts were lost
+    — exactly the bug the accumulator channel exists to prevent (the old
+    code unconditionally overwrote the counter here, masking the loss).
+    """
+    concrete = sum(1 for _pair, d in final if d is not None)
+    if stats.results < concrete:
+        raise AssertionError(
+            f"merged results counter {stats.results} < {concrete} concrete "
+            "result pairs — worker-side counts were lost"
+        )
+
+
+# --------------------------------------------------------------- clustering
+
+
 def _same_cluster_pairs_compact(
     members, store, theta_raw, theta_c_raw, stats, kernel="vectorized"
 ):
@@ -877,6 +394,9 @@ def _same_cluster_pairs_compact(
             if distance is not None:
                 stats.results += 1
                 yield (canonical_pair(first, second), distance)
+
+
+# ---------------------------------------------------------------- expansion
 
 
 #: Members per expansion batch: the compact CL/CL-P expansions stream

@@ -1,17 +1,16 @@
-"""The compact shuffle path shared by VJ, VJ-NL, CL, and CL-P.
+"""The token pipeline shared by VJ, VJ-NL, CL, and CL-P.
 
-Three changes relative to the legacy token pipeline, all aimed at what
-crosses the (simulated) wire rather than at kernel speed:
+Three design decisions, all aimed at what crosses the (simulated) wire
+rather than at kernel speed:
 
 1. **Integer encoding** — the ordering phase builds an
    :class:`~repro.rankings.encoding.ItemEncoder` from the global frequency
    table and maps every ranking onto dense int codes assigned in canonical
    frequency order (see :mod:`repro.rankings.encoding`).  The frequency
-   table itself is counted shuffle-free — per-partition Counters merged on
-   the driver — where the legacy ordering pays a ``reduce_by_key`` shuffle.
+   table itself is counted shuffle-free: per-partition Counters merged on
+   the driver.
 
-2. **Slim tokens + a broadcast columnar store** — instead of shipping the
-   whole ``OrderedRanking`` once per prefix item, a token is
+2. **Slim tokens + a broadcast columnar store** — a token is
    ``(rid, key_rank, prefix_codes)``: the ranking id, the original rank of
    the group's key item (the O(1) position check of Section 4.1), and the
    sorted tuple of the emitted prefix codes.  Full rankings live in a
@@ -19,18 +18,17 @@ crosses the (simulated) wire rather than at kernel speed:
    — one contiguous ``(n, k)`` int32 code matrix plus a rid index — that
    kernels consult only when a candidate actually reaches verification
    (vectorized kernels gather rows as arrays; the scalar oracle
-   materializes ranking objects lazily per rid).  Per-token payload drops
-   from O(k) objects to O(p) small ints, and the broadcast itself is two
-   array buffers instead of n Python objects.
+   materializes ranking objects lazily per rid).  A token's payload is
+   O(p) small ints, not the O(k)-object ranking, and the broadcast itself
+   is two array buffers instead of n Python objects.
 
 3. **Rarest-common-prefix-item deduplication** — a candidate pair whose
-   prefixes share ``m`` items meets in ``m`` groups; the legacy path
-   verifies it in every one and drops the duplicates with a trailing
-   ``distinct_pairs`` shuffle.  Here a kernel generates the pair only in
-   the group of the pair's *rarest* shared emitted-prefix item (the
-   minimum shared code — an O(p) merge-walk over the two sorted prefix
-   tuples).  Every qualifying pair is produced under exactly one item, so
-   the deduplication shuffle disappears.
+   prefixes share ``m`` items meets in ``m`` groups.  A kernel generates
+   the pair only in the group of the pair's *rarest* shared
+   emitted-prefix item (the minimum shared code — an O(p) merge-walk over
+   the two sorted prefix tuples).  Every qualifying pair is produced
+   under exactly one item, so no trailing ``distinct_pairs`` shuffle is
+   needed to drop duplicates.
 
    *Correctness*: the overlap-prefix lemma guarantees a result pair shares
    at least one item across its emitted prefixes, so the intersection is
@@ -69,16 +67,6 @@ from .kernels import (
 from .types import JoinStats, canonical_pair
 from .verification import check_pair, verify, violates_position_filter
 
-TOKEN_FORMATS = ("compact", "legacy")
-
-
-def validate_token_format(token_format: str) -> str:
-    if token_format not in TOKEN_FORMATS:
-        raise ValueError(
-            f"unknown token_format {token_format!r}; choose from {TOKEN_FORMATS}"
-        )
-    return token_format
-
 
 def _count_items(rows) -> list:
     """Per-partition item counts, combined locally into one Counter."""
@@ -89,7 +77,7 @@ def _count_items(rows) -> list:
 
 
 def compact_ordering(ctx: Context, rdd, prefix: str = "overlap"):
-    """Ordering phase of the compact path.
+    """Ordering phase of every join.
 
     Counts global item frequencies (shuffle-free: per-partition combine
     plus a driver merge), builds the :class:`ItemEncoder`, maps
@@ -100,8 +88,7 @@ def compact_ordering(ctx: Context, rdd, prefix: str = "overlap"):
     """
     # Global frequency count without a shuffle: each partition combines
     # locally into one Counter and the driver merges the partials (the
-    # ``countByValue`` idiom).  The legacy path pays a reduce_by_key
-    # shuffle here; the compact path builds the driver-side encoder and
+    # ``countByValue`` idiom).  The driver builds the encoder and the
     # broadcast store anyway, so the driver merge is free.
     frequencies: Counter = Counter()
     for partial in rdd.map_partitions(_count_items).collect():
@@ -118,7 +105,7 @@ def compact_ordering(ctx: Context, rdd, prefix: str = "overlap"):
     # Nothing is materialized per ranking here — the vectorized kernels
     # gather from the arrays, and the scalar oracle path materializes
     # (and caches) ranking objects lazily per verified rid, so small-θ
-    # runs no longer pay an O(n·k) driver-side rank-table build.
+    # runs pay no O(n·k) driver-side rank-table build.
     store = ColumnarStore.from_ordered(ordered.collect(), len(encoder))
     return ordered, ctx.broadcast(store), encoder
 
@@ -288,7 +275,7 @@ def make_compact_kernels(
     use_position_filter: bool,
     kernel: str = "vectorized",
 ):
-    """Group and R-S kernels of the compact path for a plain threshold.
+    """Group and R-S kernels for a plain threshold.
 
     ``kernel="vectorized"`` (the default) runs the batch kernels of
     :mod:`repro.joins.kernels` over the columnar store, falling back to
@@ -382,8 +369,8 @@ def make_compact_typed_kernels(
 
     Tokens are ``(rid, key_rank, codes, is_singleton)``; output records
     are ``((rid_i, rid_j), (distance, singleton_i, singleton_j))`` with
-    ascending ids — the objects the legacy records carried are resolved
-    from the store during expansion instead.  ``channel`` is a plain
+    ascending ids — the ranking objects are resolved from the store
+    during expansion.  ``channel`` is a plain
     :class:`JoinStats` or an accumulator channel; each kernel resolves
     its task-local delta once per group.  ``kernel`` selects the batch
     (``"vectorized"``) or per-pair (``"scalar"``) implementation; both

@@ -25,9 +25,9 @@ from ..minispark.tracing import phase_scope
 from ..rankings.bounds import jaccard_prefix_size
 from ..rankings.dataset import RankingDataset
 from ..rankings.distances import jaccard_distance
+from ..rankings.ordering import order_ranking
 from .grouping import distinct_pairs, grouped_join
 from .types import JoinResult, JoinStats, canonical_pair
-from .vj import order_rankings_rdd
 
 
 def _jaccard_within(tau, sigma, theta: float) -> float | None:
@@ -76,6 +76,17 @@ def jaccard_join_local(dataset: RankingDataset, theta: float) -> JoinResult:
         phase_seconds={"join": perf_counter() - start},
         algorithm="jaccard-prefix-filter",
     )
+
+
+def order_rankings_rdd(ctx: Context, rdd):
+    """Frequency-order an RDD of rankings (Section 4's first two phases)."""
+    frequencies = dict(
+        rdd.flat_map(lambda r: ((item, 1) for item in r.items))
+        .reduce_by_key(lambda a, b: a + b)
+        .collect()
+    )
+    table = ctx.broadcast(frequencies)
+    return rdd.map(lambda r: order_ranking(r, table.value))
 
 
 def jaccard_join(

@@ -13,11 +13,10 @@ Two observations make batching possible without changing any outcome:
     prefix (that is why it is in the group), so any two members share at
     least the key item and every pair is discovered by the scalar
     index/nested-loop walks.  The kernels differ only in *filter mode*
-    (full position filter vs. the O(1) key-rank check) and, on the
-    compact path, in the rarest-item ownership rule — which reduces to
-    "the two members share no emitted prefix code smaller than the key"
-    and is evaluated here as a bitset intersection
-    (:func:`earlier_code_masks`).
+    (full position filter vs. the O(1) key-rank check); the rarest-item
+    ownership rule reduces to "the two members share no emitted prefix
+    code smaller than the key" and is evaluated here as a bitset
+    intersection (:func:`earlier_code_masks`).
 
 2.  **The Footrule sum has a closed columnar form.**  With equal-length
     rankings, each side's ranks sum to ``T = k(k+1)/2``, so gathering
@@ -119,7 +118,7 @@ class GroupColumns:
 
     @classmethod
     def from_rankings(cls, rankings, max_cells=MAX_RANK_MATRIX_CELLS):
-        """Localize legacy ranking objects (arbitrary hashable items).
+        """Localize ranking objects (arbitrary hashable items).
 
         ``code_of`` keeps the item -> local code table so callers can
         look up a key item's rank column.  Returns ``None`` on overflow
@@ -716,207 +715,6 @@ def compact_typed_rs_batch(
             jj = shifted - m_left
         theta = _typed_thresholds(
             singletons, ii, shifted, theta_raw, theta_c_raw
-        )
-        for a, b, distance in _emit_chunk(
-            cols, rows_a, rows_b, ii, jj, theta, stats,
-            use_position_filter, "key", key_ranks[:m_left],
-            key_ranks[m_left:], None, block,
-        ):
-            yield emit(left_members[a], right_members[b], distance)
-
-
-# ---------------------------------------------------- legacy batch kernels
-
-
-def legacy_group_batch(
-    key_item,
-    members,
-    theta_raw,
-    channel,
-    use_position_filter,
-    variant,
-    fallback,
-    block=None,
-):
-    """Vectorized legacy VJ/VJ-NL group kernel over ranking objects."""
-    members = sorted(members, key=lambda o: o.rid)
-    m = len(members)
-    if m < 2:
-        return
-    cols = GroupColumns.from_rankings([o.ranking for o in members])
-    if cols is None:
-        yield from fallback(members)
-        return
-    stats = local_stats(channel)
-    self_rows = np.arange(m, dtype=np.int64)
-    filter_mode = "key" if variant == "nl" else "full"
-    key_ranks = None
-    if variant == "nl":
-        key_ranks = cols.rank_matrix[:, cols.code_of[key_item]].astype(
-            np.int64
-        )
-    bound = (
-        position_filter_bound(theta_raw) if use_position_filter else None
-    )
-    for ii, jj in _pair_chunks(m):
-        for a, b, distance in _emit_chunk(
-            cols, self_rows, self_rows, ii, jj, theta_raw, stats,
-            use_position_filter, filter_mode, key_ranks, key_ranks, bound,
-            block,
-        ):
-            yield canonical_pair(members[a].rid, members[b].rid), distance
-
-
-def legacy_rs_batch(
-    key_item,
-    left_members,
-    right_members,
-    theta_raw,
-    channel,
-    use_position_filter,
-    fallback,
-    block=None,
-):
-    """Vectorized legacy R-S kernel between two split sub-partitions."""
-    left_members = list(left_members)
-    right_members = list(right_members)
-    if not left_members or not right_members:
-        return
-    rankings = [o.ranking for o in left_members] + [
-        o.ranking for o in right_members
-    ]
-    cols = GroupColumns.from_rankings(rankings)
-    if cols is None:
-        yield from fallback(left_members, right_members)
-        return
-    stats = local_stats(channel)
-    m_left = len(left_members)
-    rows_a = np.arange(m_left, dtype=np.int64)
-    rows_b = np.arange(m_left, len(rankings), dtype=np.int64)
-    rids_left = np.fromiter(
-        (o.rid for o in left_members), dtype=np.int64, count=m_left
-    )
-    rids_right = np.fromiter(
-        (o.rid for o in right_members),
-        dtype=np.int64,
-        count=len(right_members),
-    )
-    key_ranks = cols.rank_matrix[:, cols.code_of[key_item]].astype(np.int64)
-    bound = (
-        position_filter_bound(theta_raw) if use_position_filter else None
-    )
-    for ii, jj in _cross_chunks(m_left, len(right_members)):
-        distinct = rids_left[ii] != rids_right[jj]
-        if not distinct.all():
-            ii = ii[distinct]
-            jj = jj[distinct]
-        for a, b, distance in _emit_chunk(
-            cols, rows_a, rows_b, ii, jj, theta_raw, stats,
-            use_position_filter, "key", key_ranks[:m_left],
-            key_ranks[m_left:], bound, block,
-        ):
-            yield (
-                canonical_pair(left_members[a].rid, right_members[b].rid),
-                distance,
-            )
-
-
-def legacy_typed_group_batch(
-    key_item,
-    members,
-    theta_raw,
-    theta_c_raw,
-    channel,
-    use_position_filter,
-    variant,
-    fallback,
-    emit=None,
-    block=None,
-):
-    """Vectorized legacy CL typed group kernel.
-
-    ``members`` are ``(OrderedRanking, is_singleton)`` pairs;
-    ``emit(member_a, member_b, distance)`` maps each result onto the
-    final record type.
-    """
-    members = sorted(members, key=lambda tagged: tagged[0].rid)
-    m = len(members)
-    if m < 2:
-        return
-    cols = GroupColumns.from_rankings([o.ranking for o, _s in members])
-    if cols is None:
-        yield from fallback(members)
-        return
-    stats = local_stats(channel)
-    singletons = np.fromiter(
-        (s for _o, s in members), dtype=bool, count=m
-    )
-    self_rows = np.arange(m, dtype=np.int64)
-    filter_mode = "key" if variant == "nl" else "full"
-    key_ranks = None
-    if variant == "nl":
-        key_ranks = cols.rank_matrix[:, cols.code_of[key_item]].astype(
-            np.int64
-        )
-    for ii, jj in _pair_chunks(m):
-        theta = _typed_thresholds(singletons, ii, jj, theta_raw, theta_c_raw)
-        for a, b, distance in _emit_chunk(
-            cols, self_rows, self_rows, ii, jj, theta, stats,
-            use_position_filter, filter_mode, key_ranks, key_ranks, None,
-            block,
-        ):
-            yield emit(members[a], members[b], distance)
-
-
-def legacy_typed_rs_batch(
-    key_item,
-    left_members,
-    right_members,
-    theta_raw,
-    theta_c_raw,
-    channel,
-    use_position_filter,
-    fallback,
-    emit=None,
-    block=None,
-):
-    """Vectorized legacy CL typed R-S kernel."""
-    left_members = list(left_members)
-    right_members = list(right_members)
-    if not left_members or not right_members:
-        return
-    rankings = [o.ranking for o, _s in left_members] + [
-        o.ranking for o, _s in right_members
-    ]
-    cols = GroupColumns.from_rankings(rankings)
-    if cols is None:
-        yield from fallback(left_members, right_members)
-        return
-    stats = local_stats(channel)
-    m_left = len(left_members)
-    singletons = np.fromiter(
-        (s for _o, s in left_members + right_members),
-        dtype=bool,
-        count=len(rankings),
-    )
-    rows_a = np.arange(m_left, dtype=np.int64)
-    rows_b = np.arange(m_left, len(rankings), dtype=np.int64)
-    rids_left = np.fromiter(
-        (o.rid for o, _s in left_members), dtype=np.int64, count=m_left
-    )
-    rids_right = np.fromiter(
-        (o.rid for o, _s in right_members),
-        dtype=np.int64,
-        count=len(right_members),
-    )
-    key_ranks = cols.rank_matrix[:, cols.code_of[key_item]].astype(np.int64)
-    for ii, jj in _cross_chunks(m_left, len(right_members)):
-        distinct = rids_left[ii] != rids_right[jj]
-        if not distinct.all():
-            ii = ii[distinct]
-            jj = jj[distinct]
-        theta = _typed_thresholds(
-            singletons, ii, jj + m_left, theta_raw, theta_c_raw
         )
         for a, b, distance in _emit_chunk(
             cols, rows_a, rows_b, ii, jj, theta, stats,

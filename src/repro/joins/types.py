@@ -27,8 +27,8 @@ class JoinStats:
     ``triangle_filtered``/``triangle_accepted`` the expansion-phase
     shortcuts, and ``verified`` the full Footrule computations — the cost
     the filters exist to avoid.  ``dedup_skipped`` counts pairs the
-    compact path's rarest-common-prefix-item rule skipped because another
-    group owns them — the duplicates the legacy path re-verified and then
+    rarest-common-prefix-item rule skipped because another group owns
+    them — duplicates that would otherwise be re-verified and then
     dropped in a dedicated shuffle.
     """
 

@@ -2,12 +2,15 @@
 
 Pipeline (one mini-Spark job chain, mirroring the paper's Spark stages):
 
-1. **Ordering** — count global item frequencies (a reduceByKey job),
-   broadcast the table, and re-sort every ranking's items by ascending
-   frequency while keeping the original ranks (``OrderedRanking``).
-2. **Token emission** — every ranking emits ``(item, ranking)`` for each of
-   its first ``p`` canonical items, where ``p`` is the overlap-based prefix
-   for the threshold.
+1. **Ordering** — count global item frequencies (per-partition counts
+   merged on the driver), broadcast the resulting item encoder, and
+   re-sort every ranking's items by ascending frequency while keeping the
+   original ranks (``OrderedRanking``).
+2. **Token emission** — every ranking emits a slim integer-encoded
+   ``(code, (rid, key_rank, prefix_codes))`` token for each of its first
+   ``p`` canonical items, where ``p`` is the overlap-based prefix for the
+   threshold; full rankings are resolved from a broadcast store at
+   verification time (see :mod:`repro.joins.compact`).
 3. **Grouping + per-group join** — rankings sharing an item meet in one
    group; a kernel joins them:
 
@@ -17,20 +20,11 @@ Pipeline (one mini-Spark job chain, mirroring the paper's Spark stages):
      with the O(1) position check on the group's key item — the variant
      the paper argues is more native to Spark's memory model.
 
-4. **Deduplication** — the same pair can be found under several shared
-   items; the legacy token format drops duplicates with a final
-   reduceByKey (the paper's "remove the duplicate pairs" phase), while
-   the default compact format generates each pair under exactly one item
-   (the rarest shared prefix item) and skips that shuffle entirely.
-
-``token_format`` selects the shuffle payload: ``"compact"`` (the default)
-ships slim integer-encoded ``(rid, key_rank, prefix_codes)`` tokens and
-resolves full rankings from a broadcast store at verification time (see
-:mod:`repro.joins.compact`); ``"legacy"`` ships the whole
-``OrderedRanking`` per token, kept as the reference path and property-test
-oracle.  ``oracle_distinct=True`` runs the (now redundant) deduplication
-shuffle on the compact path anyway, which property tests use to assert the
-rarest-item rule really leaves nothing to deduplicate.
+4. **Deduplication** — the same pair can share several prefix items; a
+   kernel generates it only under the rarest one, so the paper's "remove
+   the duplicate pairs" reduceByKey is not needed.  ``oracle_distinct=True``
+   runs that shuffle anyway, which property tests use to assert the
+   rarest-item rule really leaves nothing to deduplicate.
 
 ``partition_threshold`` activates Section 6's repartitioning of oversized
 groups (used standalone here; the CL-P algorithm applies it inside its
@@ -45,21 +39,10 @@ from ..minispark.context import Context
 from ..minispark.tracing import phase_scope
 from ..rankings.bounds import admits_disjoint_pairs, raw_threshold
 from ..rankings.dataset import RankingDataset
-from ..rankings.ordering import order_ranking
-from .compact import (
-    compact_ordering,
-    emit_prefix_tokens,
-    make_compact_kernels,
-    validate_token_format,
-)
+from .compact import compact_ordering, emit_prefix_tokens, make_compact_kernels
 from .grouping import distinct_pairs, grouped_join
-from .kernels import legacy_group_batch, legacy_rs_batch, validate_kernel
-from .local import (
-    join_group_indexed,
-    join_group_nested_loop,
-    join_groups_rs,
-    prefix_size_for,
-)
+from .kernels import validate_kernel
+from .local import prefix_size_for
 from .types import JoinResult, JoinStats
 
 
@@ -73,7 +56,6 @@ def vj_join(
     use_position_filter: bool = True,
     partition_threshold: int | None = None,
     seed: int = 0,
-    token_format: str = "compact",
     oracle_distinct: bool = False,
     kernel: str = "vectorized",
 ) -> JoinResult:
@@ -87,7 +69,6 @@ def vj_join(
     """
     if variant not in ("index", "nl"):
         raise ValueError(f"unknown variant {variant!r}")
-    validate_token_format(token_format)
     validate_kernel(kernel)
     num_partitions = num_partitions or ctx.default_parallelism
     theta_raw = raw_threshold(theta, dataset.k)
@@ -113,29 +94,17 @@ def vj_join(
     try:
         with phase_scope(ctx, "ordering", phase_seconds):
             rdd = ctx.parallelize(dataset.rankings, num_partitions)
-            if token_format == "compact":
-                ordered, store, _encoder = compact_ordering(ctx, rdd, prefix)
-                pinned.append(ordered)
-            else:
-                ordered = order_rankings_rdd(ctx, rdd, prefix)
+            ordered, store, _encoder = compact_ordering(ctx, rdd, prefix)
+            pinned.append(ordered)
 
         with phase_scope(ctx, "join", phase_seconds):
-            if token_format == "compact":
-                tokens = ordered.flat_map(
-                    partial(emit_prefix_tokens, prefix_size=p)
-                )
-                group_kernel, rs_kernel = make_compact_kernels(
-                    variant, theta_raw, store, channel, use_position_filter,
-                    kernel,
-                )
-            else:
-                tokens = ordered.flat_map(
-                    lambda o: ((item, o) for item, _rank in o.prefix(p))
-                )
-                group_kernel, rs_kernel = make_kernels(
-                    variant, p, theta_raw, channel, use_position_filter,
-                    kernel,
-                )
+            tokens = ordered.flat_map(
+                partial(emit_prefix_tokens, prefix_size=p)
+            )
+            group_kernel, rs_kernel = make_compact_kernels(
+                variant, theta_raw, store, channel, use_position_filter,
+                kernel,
+            )
             pairs = grouped_join(
                 ctx,
                 tokens,
@@ -147,10 +116,9 @@ def vj_join(
                 seed=seed,
                 pinned=pinned,
             )
-            if token_format == "legacy" or oracle_distinct:
-                # The rarest-item rule makes this shuffle a no-op on the
-                # compact path; oracle_distinct keeps it as a property-test
-                # oracle.
+            if oracle_distinct:
+                # The rarest-item rule makes this shuffle a no-op; it is
+                # kept as a property-test oracle.
                 pairs = distinct_pairs(pairs, num_partitions)
             # The grouping shuffle and the verification kernels run inside
             # one action; materializing the shuffle first splits the paper's
@@ -166,26 +134,14 @@ def vj_join(
             cached.unpersist()
         ctx.broadcasts.pop_scope()
 
-    if token_format == "compact":
-        # The rarest-item rule generates each result pair exactly once,
-        # so the merged worker-side counter must equal the collected
-        # result count — this is the cross-backend exactness invariant
-        # (the old code clobbered the counter here, hiding its loss on
-        # the processes backend).
-        if stats.results != len(results):
-            raise AssertionError(
-                f"merged results counter {stats.results} != collected "
-                f"{len(results)} pairs — accumulator channel is broken"
-            )
-    else:
-        # Legacy tokens find the same pair under several shared items;
-        # the kernels count each discovery, deduplication keeps one.
-        if stats.results < len(results):
-            raise AssertionError(
-                f"merged results counter {stats.results} < collected "
-                f"{len(results)} pairs — worker-side counts were lost"
-            )
-        stats.results = len(results)
+    # The rarest-item rule generates each result pair exactly once, so
+    # the merged worker-side counter must equal the collected result
+    # count — this is the cross-backend exactness invariant.
+    if stats.results != len(results):
+        raise AssertionError(
+            f"merged results counter {stats.results} != collected "
+            f"{len(results)} pairs — accumulator channel is broken"
+        )
     name = "vj" if variant == "index" else "vj-nl"
     if partition_threshold is not None:
         name += "+repartition"
@@ -196,90 +152,6 @@ def vj_join(
         stats=stats,
         phase_seconds=phase_seconds,
         algorithm=name,
-    )
-
-
-def order_rankings_rdd(ctx: Context, rdd, prefix: str = "overlap"):
-    """Frequency-order an RDD of rankings (Section 4's first two phases).
-
-    For the ``"ordered"`` (rank-order) prefix scheme the frequency job is
-    skipped entirely — the canonical order is the rank order itself.
-    """
-    if prefix == "ordered":
-        return rdd.map(_rank_ordered)
-    frequencies = dict(
-        rdd.flat_map(lambda r: ((item, 1) for item in r.items))
-        .reduce_by_key(lambda a, b: a + b)
-        .collect()
-    )
-    table = ctx.broadcast(frequencies)
-    return rdd.map(lambda r: order_ranking(r, table.value))
-
-
-def _rank_ordered(ranking):
-    from ..rankings.ordering import OrderedRanking
-
-    return OrderedRanking(
-        ranking, [(item, pos) for pos, item in enumerate(ranking.items)]
-    )
-
-
-def make_kernels(
-    variant: str,
-    prefix_size: int,
-    theta_raw: float,
-    stats: JoinStats,
-    use_position_filter: bool,
-    kernel: str = "vectorized",
-):
-    """Build the per-group and R-S kernels for a plain threshold join.
-
-    ``kernel="vectorized"`` batches each group through the columnar
-    kernels of :mod:`repro.joins.kernels`; ``"scalar"`` is the per-pair
-    oracle.  Outcomes and counters are identical.
-    """
-    validate_kernel(kernel)
-    if variant == "index":
-
-        def scalar_kernel(_item, members):
-            return join_group_indexed(
-                list(members), prefix_size, theta_raw, stats, use_position_filter
-            )
-
-    else:
-
-        def scalar_kernel(item, members):
-            return join_group_nested_loop(
-                list(members), item, theta_raw, stats, use_position_filter
-            )
-
-    scalar_rs_kernel = partial(
-        _rs_kernel, theta_raw=theta_raw, stats=stats,
-        use_position_filter=use_position_filter,
-    )
-    if kernel == "scalar":
-        return scalar_kernel, scalar_rs_kernel
-
-    def batch_kernel(item, members):
-        return legacy_group_batch(
-            item, members, theta_raw, stats, use_position_filter, variant,
-            fallback=lambda sorted_members: scalar_kernel(
-                item, sorted_members
-            ),
-        )
-
-    def batch_rs_kernel(item, left, right):
-        return legacy_rs_batch(
-            item, left, right, theta_raw, stats, use_position_filter,
-            fallback=lambda l, r: scalar_rs_kernel(item, l, r),
-        )
-
-    return batch_kernel, batch_rs_kernel
-
-
-def _rs_kernel(item, left, right, theta_raw, stats, use_position_filter):
-    return join_groups_rs(
-        list(left), list(right), item, theta_raw, stats, use_position_filter
     )
 
 

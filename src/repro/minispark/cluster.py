@@ -126,8 +126,8 @@ class ClusterModel:
 
         The network term charges both a per-record cost (serialization
         call overhead, framing) and a per-byte cost (the wire itself), so
-        a path that shuffles the same record count in fewer bytes — the
-        compact token format — is rewarded by the replay.  Recovery is
+        a path that shuffles the same record count in fewer bytes — slim
+        integer tokens, say — is rewarded by the replay.  Recovery is
         charged too: retry backoff waits, worker respawns, and the
         compute burned on failed attempts (``task_seconds`` holds only
         each task's *final* attempt, so failed tries are charged

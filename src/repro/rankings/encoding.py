@@ -1,6 +1,6 @@
 """Dictionary encoding of ranking items to dense integers.
 
-The compact shuffle path replaces arbitrary hashable items with dense int
+The join token pipeline replaces arbitrary hashable items with dense int
 codes assigned in the *canonical frequency order*: the rarest item gets
 code 0, the most frequent the largest code (ties broken by item id, like
 :func:`repro.rankings.ordering.frequency_order_key`).  Two properties make
@@ -11,7 +11,7 @@ this the right code assignment:
   O(p) merge-walk the rarest-item deduplication rule runs per candidate;
 * the codes are small contiguous ints, so prefix tokens and encoded
   rankings pickle to a fraction of the bytes of the original payloads —
-  the quantity ``StageMetrics.shuffle_bytes`` now measures.
+  the quantity ``StageMetrics.shuffle_bytes`` measures.
 
 Footrule distances only depend on item *identity* and positions, so a join
 over encoded rankings returns byte-identical ``(rid_i, rid_j, distance)``
@@ -22,10 +22,10 @@ store: instead of a ``rid -> OrderedRanking`` dict of Python objects it
 holds one contiguous ``(n, k)`` int32 matrix of encoded items in rank
 order plus a ``rid -> row`` index.  The vectorized verification kernels
 (:mod:`repro.joins.kernels`) slice whole candidate groups out of it as
-numpy arrays; the scalar kernels keep working unchanged through the
-lazy ``store[rid].ranking`` view, which materializes (and caches) a
+numpy arrays; the scalar kernels go through the lazy
+``store[rid].ranking`` view, which materializes (and caches) a
 ranking object only when a verification actually touches that rid —
-rank tables are no longer eagerly built for every ranking on the
+rank tables are never eagerly built for every ranking on the
 driver.  Broadcasting the store ships two array buffers instead of n
 objects, which makes the ``processes`` backend's per-stage broadcast
 near-zero-copy (fork inherits the buffers copy-on-write).
@@ -172,8 +172,8 @@ class ColumnarStore:
     rank ``r`` — the column index is the rank, which is why no separate
     ranks array is stored).  ``row_of`` maps rid -> row for O(1) lookup.
 
-    The store replaces the legacy ``rid -> OrderedRanking`` dict on the
-    compact path.  Vectorized kernels read the arrays directly; scalar
+    The store stands in for a ``rid -> OrderedRanking`` dict of Python
+    objects.  Vectorized kernels read the arrays directly; scalar
     kernels go through ``store[rid].ranking``, which materializes the
     ranking object on demand and caches it (rank tables stay lazy inside
     :class:`~repro.rankings.ranking.Ranking` itself).  The cache is
@@ -227,7 +227,7 @@ class ColumnarStore:
         return len(self.row_of)
 
     def __iter__(self):
-        """Iterate rids in store (collect) order, like the legacy dict."""
+        """Iterate rids in store (collect) order, like a dict."""
         return iter(self.row_of)
 
     def __contains__(self, rid) -> bool:

@@ -10,8 +10,8 @@ only ever show up in the metrics, never in the data.
 Pinned three ways:
 
 * hypothesis: random tiny-domain datasets x random fault plans
-  (transient faults + shuffle loss) x all four join variants x both
-  token formats, comparing full ``(i, j, d)`` tuples;
+  (transient faults + shuffle loss) x all four join variants,
+  comparing full ``(i, j, d)`` tuples;
 * the parallel backends under chaos (threads for all variants,
   processes with worker kills for vj) agree with clean serial;
 * recovery events are actually visible: a plan that always faults
@@ -58,16 +58,14 @@ def _pairs(result):
     )
 
 
-def _run(dataset, theta, algorithm, token_format, ctx):
+def _run(dataset, theta, algorithm, ctx):
     if algorithm in ("vj", "vj-nl"):
         return vj_join(
             ctx, dataset, theta,
             variant="nl" if algorithm == "vj-nl" else "index",
-            token_format=token_format,
         )
     kwargs = {"partition_threshold": 6} if algorithm == "cl-p" else {}
-    return cl_join(ctx, dataset, theta, theta_c=min(0.03, theta),
-                   token_format=token_format, **kwargs)
+    return cl_join(ctx, dataset, theta, theta_c=min(0.03, theta), **kwargs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -76,17 +74,14 @@ def _run(dataset, theta, algorithm, token_format, ctx):
     st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.95]),
     fault_plans,
     st.sampled_from(["vj", "vj-nl", "cl", "cl-p"]),
-    st.sampled_from(["compact", "legacy"]),
 )
-def test_chaos_run_equals_fault_free_serial(
-    dataset, theta, plan, algorithm, token_format
-):
-    clean = _run(dataset, theta, algorithm, token_format, Context(3))
+def test_chaos_run_equals_fault_free_serial(dataset, theta, plan, algorithm):
+    clean = _run(dataset, theta, algorithm, Context(3))
     chaotic_ctx = Context(
         3, task_retries=plan.max_faults_per_task, chaos=plan,
         retry_policy=_fast_retry,
     )
-    chaotic = _run(dataset, theta, algorithm, token_format, chaotic_ctx)
+    chaotic = _run(dataset, theta, algorithm, chaotic_ctx)
     assert _pairs(chaotic) == _pairs(clean)
     ran_tasks = sum(j.num_tasks for j in chaotic_ctx.metrics.jobs)
     if plan.transient_rate == 1.0 and ran_tasks:
@@ -97,18 +92,18 @@ def test_chaos_run_equals_fault_free_serial(
 
 @pytest.mark.parametrize("algorithm", ["vj", "vj-nl", "cl", "cl-p"])
 def test_chaos_equivalence_on_threads(small_dblp, algorithm):
-    clean = _run(small_dblp, 0.2, algorithm, "compact", Context(4))
+    clean = _run(small_dblp, 0.2, algorithm, Context(4))
     plan = FaultPlan(seed=9, transient_rate=0.3, straggler_rate=0.1,
                      straggler_seconds=0.001, shuffle_loss_rate=0.5)
     ctx = Context(4, executor="threads", task_retries=2, chaos=plan,
                   retry_policy=_fast_retry)
-    chaotic = _run(small_dblp, 0.2, algorithm, "compact", ctx)
+    chaotic = _run(small_dblp, 0.2, algorithm, ctx)
     assert _pairs(chaotic) == _pairs(clean)
     assert ctx.metrics.recovery_summary()["chaos_faults"] > 0
 
 
 def test_chaos_kill_equivalence_on_processes(small_dblp):
-    clean = _run(small_dblp, 0.2, "vj", "compact", Context(4))
+    clean = _run(small_dblp, 0.2, "vj", Context(4))
     # Kill rolls key on stage names, i.e. on the process-wide rdd id
     # counter, which the hypothesis tests above advance by a random
     # amount: about one plan seed in eight rolls no kill at all for the
@@ -118,7 +113,7 @@ def test_chaos_kill_equivalence_on_processes(small_dblp):
         ctx = Context(4, executor="processes", max_workers=2, task_retries=2,
                       chaos=plan, max_worker_respawns=64,
                       retry_policy=_fast_retry)
-        chaotic = _run(small_dblp, 0.2, "vj", "compact", ctx)
+        chaotic = _run(small_dblp, 0.2, "vj", ctx)
         assert _pairs(chaotic) == _pairs(clean)
         if ctx.metrics.recovery_summary()["worker_respawns"] >= 1:
             break  # kills really happened

@@ -86,6 +86,28 @@ class TestJoin:
             )
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--executor", "threads", "--max-workers", "0"], "max_workers"),
+            (["--algorithm", "cl", "--theta-c", "0.3"], "theta_c"),
+        ],
+    )
+    def test_bad_argument_values_exit_cleanly(
+        self, dataset_file, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "pairs.txt"
+        code = main(
+            ["join", dataset_file, "--theta", "0.2", "-o", str(out), *flags]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro join: error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestStats:
     def test_prints_everything(self, dataset_file, capsys):

@@ -1,31 +1,31 @@
-"""The compact shuffle path returns byte-identical results to legacy.
+"""The token pipeline returns exactly the brute-force result.
 
-The compact token format changes *everything about what is shuffled* —
-integer-encoded rankings, slim ``(rid, key_rank, prefix_codes)`` tokens, a
-broadcast ranking store, and the rarest-common-prefix-item deduplication
-rule — and nothing about what is returned.  These tests pin that contract
-three ways:
+The joins shuffle integer-encoded rankings as slim ``(rid, key_rank,
+prefix_codes)`` tokens, resolve rankings from a broadcast store, and
+deduplicate by the rarest-common-prefix-item rule; none of that may show
+in what is returned.  These tests pin that contract three ways:
 
-* hypothesis equivalence: on adversarial tiny-domain datasets, compact ==
-  legacy == brute force for vj, vj-nl, cl, and cl-p, across prefix
-  schemes and the repartitioning branch, comparing full ``(i, j, d)``
-  tuples (including which distances are ``None``), not just pair sets;
+* hypothesis equivalence: on adversarial tiny-domain datasets, vj, vj-nl,
+  cl, and cl-p return the brute-force pair set, each pair once and every
+  verified distance exact, across prefix schemes and the repartitioning
+  branch;
 * the rarest-item rule really leaves nothing to deduplicate: running the
   (redundant) ``distinct_pairs`` shuffle anyway (``oracle_distinct``)
-  changes nothing, and compact results contain no duplicate pairs;
-* executor independence: serial, threads, and processes backends agree.
+  changes nothing, and results contain no duplicate pairs;
+* executor independence: serial, threads, and processes backends agree
+  with brute force.
+
+Test ids that say ``equals_legacy`` are kept because the tier-1 floor
+list names them; brute force is the reference in every one.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro import similarity_join
 from repro.joins import bruteforce_join, cl_join, vj_join
-from repro.joins.compact import (
-    first_common,
-    pair_threshold,
-    validate_token_format,
-)
+from repro.joins.compact import first_common, pair_threshold
 from repro.minispark import Context
 from repro.rankings import Ranking, RankingDataset
 from repro.rankings.encoding import (
@@ -58,6 +58,17 @@ def _pairs(result):
     )
 
 
+def _assert_matches_bruteforce(result, dataset, theta):
+    """The brute-force pairs, each once, every verified distance exact.
+
+    CL's triangle-accepted pairs carry no distance (``None``); a distance
+    the join did compute must be the true one.
+    """
+    exact = {(i, j): d for i, j, d in bruteforce_join(dataset, theta).pairs}
+    assert sorted((i, j) for i, j, _d in result.pairs) == sorted(exact)
+    assert all(d == exact[i, j] for i, j, d in result.pairs if d is not None)
+
+
 # ----------------------------------------------------- hypothesis: VJ family
 
 
@@ -71,42 +82,29 @@ def _pairs(result):
 def test_vj_compact_equals_legacy_and_bruteforce(
     dataset, theta, prefix, variant
 ):
-    legacy = vj_join(
-        Context(3), dataset, theta, prefix=prefix, variant=variant,
-        token_format="legacy",
+    result = vj_join(
+        Context(3), dataset, theta, prefix=prefix, variant=variant
     )
-    compact = vj_join(
-        Context(3), dataset, theta, prefix=prefix, variant=variant,
-        token_format="compact",
-    )
-    assert _pairs(compact) == _pairs(legacy)
-    assert compact.pair_set() == bruteforce_join(dataset, theta).pair_set()
+    assert all(d is not None for _i, _j, d in result.pairs)
+    _assert_matches_bruteforce(result, dataset, theta)
 
 
 @settings(max_examples=40, deadline=None)
 @given(datasets(), thetas, st.integers(min_value=2, max_value=6))
 def test_vj_compact_repartitioned_equals_legacy(dataset, theta, delta):
-    legacy = vj_join(
-        Context(3), dataset, theta, variant="nl", partition_threshold=delta,
-        token_format="legacy",
+    result = vj_join(
+        Context(3), dataset, theta, variant="nl", partition_threshold=delta
     )
-    compact = vj_join(
-        Context(3), dataset, theta, variant="nl", partition_threshold=delta,
-        token_format="compact",
-    )
-    assert _pairs(compact) == _pairs(legacy)
+    _assert_matches_bruteforce(result, dataset, theta)
 
 
 @settings(max_examples=40, deadline=None)
 @given(datasets(), thetas, st.sampled_from(["index", "nl"]))
 def test_vj_compact_generates_each_pair_exactly_once(dataset, theta, variant):
     with_oracle = vj_join(
-        Context(3), dataset, theta, variant=variant, token_format="compact",
-        oracle_distinct=True,
+        Context(3), dataset, theta, variant=variant, oracle_distinct=True
     )
-    without = vj_join(
-        Context(3), dataset, theta, variant=variant, token_format="compact"
-    )
+    without = vj_join(Context(3), dataset, theta, variant=variant)
     # distinct_pairs merges duplicates; if the rarest-item rule left any,
     # the undeduplicated run would return more records.
     assert _pairs(without) == _pairs(with_oracle)
@@ -128,40 +126,27 @@ def test_cl_compact_equals_legacy_and_bruteforce(
     dataset, theta, theta_c, variant
 ):
     theta_c = min(theta_c, theta)
-    legacy = cl_join(
-        Context(3), dataset, theta, theta_c=theta_c, variant=variant,
-        token_format="legacy",
+    result = cl_join(
+        Context(3), dataset, theta, theta_c=theta_c, variant=variant
     )
-    compact = cl_join(
-        Context(3), dataset, theta, theta_c=theta_c, variant=variant,
-        token_format="compact",
-    )
-    assert _pairs(compact) == _pairs(legacy)
-    assert compact.pair_set() == bruteforce_join(dataset, theta).pair_set()
+    _assert_matches_bruteforce(result, dataset, theta)
 
 
 @settings(max_examples=30, deadline=None)
 @given(datasets(), thetas, st.integers(min_value=2, max_value=6))
 def test_clp_compact_equals_legacy(dataset, theta, delta):
     theta_c = min(0.03, theta)
-    legacy = cl_join(
+    result = cl_join(
         Context(3), dataset, theta, theta_c=theta_c,
-        partition_threshold=delta, token_format="legacy",
+        partition_threshold=delta,
     )
-    compact = cl_join(
-        Context(3), dataset, theta, theta_c=theta_c,
-        partition_threshold=delta, token_format="compact",
-    )
-    assert _pairs(compact) == _pairs(legacy)
+    _assert_matches_bruteforce(result, dataset, theta)
 
 
 @settings(max_examples=30, deadline=None)
 @given(datasets(), thetas)
 def test_cl_compact_no_duplicate_pairs(dataset, theta):
-    result = cl_join(
-        Context(3), dataset, theta, theta_c=min(0.03, theta),
-        token_format="compact",
-    )
+    result = cl_join(Context(3), dataset, theta, theta_c=min(0.03, theta))
     pairs = [(i, j) for i, j, _ in result.pairs]
     assert len(pairs) == len(set(pairs))
 
@@ -182,17 +167,10 @@ def test_cl_compact_no_duplicate_pairs(dataset, theta):
 def test_compact_equals_legacy_on_every_executor(
     small_dblp, executor, algorithm, kwargs
 ):
-    def run(token_format):
-        ctx = Context(default_parallelism=4, executor=executor)
-        if algorithm.startswith("vj"):
-            return vj_join(
-                ctx, small_dblp, 0.2, token_format=token_format, **kwargs
-            )
-        return cl_join(
-            ctx, small_dblp, 0.2, token_format=token_format, **kwargs
-        )
-
-    assert _pairs(run("compact")) == _pairs(run("legacy"))
+    ctx = Context(default_parallelism=4, executor=executor)
+    join = vj_join if algorithm.startswith("vj") else cl_join
+    result = join(ctx, small_dblp, 0.2, **kwargs)
+    _assert_matches_bruteforce(result, small_dblp, 0.2)
 
 
 # ------------------------------------------------------------- unit tests
@@ -253,11 +231,7 @@ def test_pair_threshold_matches_lemma_5_3():
     assert pair_threshold(False, False, 10.0, 2.0) == 14.0
 
 
-def test_validate_token_format_rejects_unknown():
-    assert validate_token_format("compact") == "compact"
-    assert validate_token_format("legacy") == "legacy"
-    with pytest.raises(ValueError, match="token_format"):
-        validate_token_format("tight")
-    with pytest.raises(ValueError, match="token_format"):
-        vj_join(Context(3), RankingDataset([Ranking(0, [1, 2, 3])]), 0.1,
-                token_format="tight")
+def test_token_format_keyword_is_gone(small_dblp):
+    """There is one token pipeline; selecting another is a plain TypeError."""
+    with pytest.raises(TypeError, match="token_format"):
+        similarity_join(small_dblp, 0.2, algorithm="vj", token_format="legacy")

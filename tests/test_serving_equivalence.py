@@ -26,7 +26,6 @@ DOMAIN = list(range(12))
 
 INDEX_KINDS = ("prefix", "coarse")
 KERNELS = ("scalar", "vectorized")
-TOKEN_FORMATS = ("compact", "legacy")
 
 
 def rankings_strategy(min_size=1, max_size=16):
@@ -148,22 +147,19 @@ def test_delta_join_stream_equals_batch_join(
 
 @settings(max_examples=10, deadline=None)
 @given(rankings_strategy(min_size=4, max_size=12), st.sampled_from([0.1, 0.2]))
-def test_delta_join_matches_both_token_formats(rankings, theta):
-    """The delta stream reproduces the distributed join under both shuffle
-    token formats (compact dense-code tokens and legacy payloads)."""
+def test_delta_join_matches_distributed_join(rankings, theta):
+    """The delta stream reproduces the distributed CL join."""
     dataset = RankingDataset(rankings)
     index = ShardedIndex(kind="prefix", num_shards=2, theta_max=0.3, k=K)
     accumulated = sorted(delta_join(rankings, index, theta).pairs)
-    for token_format in TOKEN_FORMATS:
-        batch = similarity_join(
-            dataset,
-            theta,
-            algorithm="cl",
-            executor="serial",
-            num_partitions=2,
-            token_format=token_format,
-        ).with_distances(dataset)
-        assert accumulated == sorted(batch.pairs)
+    batch = similarity_join(
+        dataset,
+        theta,
+        algorithm="cl",
+        executor="serial",
+        num_partitions=2,
+    ).with_distances(dataset)
+    assert accumulated == sorted(batch.pairs)
 
 
 @settings(max_examples=25, deadline=None)

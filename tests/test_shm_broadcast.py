@@ -10,8 +10,8 @@ may only ever show up in the metrics, never in the data.
 
 Pinned the same three ways as ``test_spill_equivalence``:
 
-* hypothesis: random tiny-domain datasets x all four join variants x
-  both token formats, shm plane vs pickle plane vs brute force;
+* hypothesis: random tiny-domain datasets x all four join variants,
+  shm plane vs pickle plane vs brute force;
 * the parallel backends (threads and processes) on both planes agree
   with clean serial, including under seeded segment-unlink chaos and
   under worker-kill chaos (respawned workers re-attach for free);
@@ -63,13 +63,12 @@ def _pairs(result):
     )
 
 
-def _run(dataset, theta, algorithm, token_format, ctx):
+def _run(dataset, theta, algorithm, ctx):
     kwargs = {"partition_threshold": 6} if algorithm == "cl-p" else {}
     if algorithm in ("cl", "cl-p"):
         kwargs["theta_c"] = min(0.03, theta)
     return similarity_join(
-        dataset, theta, algorithm=algorithm, ctx=ctx,
-        token_format=token_format, **kwargs,
+        dataset, theta, algorithm=algorithm, ctx=ctx, **kwargs
     )
 
 
@@ -88,16 +87,15 @@ def _assert_clean(ctx):
     datasets(),
     st.sampled_from([0.0, 0.1, 0.2, 0.4]),
     st.sampled_from(ALGORITHMS),
-    st.sampled_from(["compact", "legacy"]),
 )
 def test_shm_run_equals_pickle_run_equals_bruteforce(
-    dataset, theta, algorithm, token_format
+    dataset, theta, algorithm
 ):
     expected = bruteforce_join(dataset, theta)
     shm_ctx = Context(3, shm_broadcast=True)
-    shm = _run(dataset, theta, algorithm, token_format, shm_ctx)
+    shm = _run(dataset, theta, algorithm, shm_ctx)
     pickle_ctx = Context(3, shm_broadcast=False)
-    pickled = _run(dataset, theta, algorithm, token_format, pickle_ctx)
+    pickled = _run(dataset, theta, algorithm, pickle_ctx)
     assert _pairs(shm) == _pairs(pickled)
     # CL's triangle-accepted pairs carry no distance (``None``), so only
     # the pair set and the distances the join verified are comparable
@@ -119,31 +117,17 @@ def test_shm_run_equals_pickle_run_equals_bruteforce(
 def test_plane_equivalence_on_parallel_backends(
     small_dblp, executor, algorithm
 ):
-    clean = _run(small_dblp, 0.2, algorithm, "compact", Context(4))
+    clean = _run(small_dblp, 0.2, algorithm, Context(4))
     for shm in (True, False):
         ctx = Context(4, executor=executor, max_workers=2,
                       shm_broadcast=shm)
-        result = _run(small_dblp, 0.2, algorithm, "compact", ctx)
+        result = _run(small_dblp, 0.2, algorithm, ctx)
         assert _pairs(result) == _pairs(clean)
         assert vars(result.stats) == vars(clean.stats)
         _assert_clean(ctx)
         summary = ctx.broadcasts.summary()
         if shm:
             assert summary["segments"] > 0  # the plane really engaged
-
-
-@needs_shm
-@pytest.mark.parametrize("token_format", ["compact", "legacy"])
-def test_plane_equivalence_legacy_format_on_processes(
-    small_dblp, token_format
-):
-    clean = _run(small_dblp, 0.2, "vj", token_format, Context(4))
-    ctx = Context(4, executor="processes", max_workers=2,
-                  shm_broadcast=True)
-    result = _run(small_dblp, 0.2, "vj", token_format, ctx)
-    assert _pairs(result) == _pairs(clean)
-    assert vars(result.stats) == vars(clean.stats)
-    _assert_clean(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +137,11 @@ def test_plane_equivalence_legacy_format_on_processes(
 @needs_shm
 @pytest.mark.parametrize("executor", ["serial", "processes"])
 def test_unlinked_segment_falls_back_to_pickle(small_dblp, executor):
-    clean = _run(small_dblp, 0.2, "vj", "compact", Context(4))
+    clean = _run(small_dblp, 0.2, "vj", Context(4))
     plan = FaultPlan(seed=3, shm_unlink_rate=1.0)
     ctx = Context(4, executor=executor, max_workers=2, chaos=plan,
                   shm_broadcast=True, retry_policy=_fast_retry)
-    chaotic = _run(small_dblp, 0.2, "vj", "compact", ctx)
+    chaotic = _run(small_dblp, 0.2, "vj", ctx)
     assert _pairs(chaotic) == _pairs(clean)
     assert vars(chaotic.stats) == vars(clean.stats)
     _assert_clean(ctx)
@@ -181,11 +165,11 @@ def test_unlinked_segment_falls_back_to_pickle(small_dblp, executor):
 )
 @settings(max_examples=25, deadline=None)
 def test_unlink_chaos_run_equals_clean(dataset, theta, seed, rate, algorithm):
-    clean = _run(dataset, theta, algorithm, "compact", Context(3))
+    clean = _run(dataset, theta, algorithm, Context(3))
     plan = FaultPlan(seed=seed, shm_unlink_rate=rate)
     ctx = Context(3, chaos=plan, shm_broadcast=True,
                   retry_policy=_fast_retry)
-    chaotic = _run(dataset, theta, algorithm, "compact", ctx)
+    chaotic = _run(dataset, theta, algorithm, ctx)
     assert _pairs(chaotic) == _pairs(clean)
     assert vars(chaotic.stats) == vars(clean.stats)
     _assert_clean(ctx)
@@ -197,12 +181,12 @@ def test_unlink_chaos_run_equals_clean(dataset, theta, seed, rate, algorithm):
 
 @needs_shm
 def test_respawned_workers_reattach_for_free(small_dblp):
-    clean = _run(small_dblp, 0.2, "vj", "compact", Context(4))
+    clean = _run(small_dblp, 0.2, "vj", Context(4))
     plan = FaultPlan(seed=2, kill_rate=0.4, transient_rate=0.2)
     ctx = Context(4, executor="processes", max_workers=2, task_retries=2,
                   chaos=plan, max_worker_respawns=64,
                   shm_broadcast=True, retry_policy=_fast_retry)
-    chaotic = _run(small_dblp, 0.2, "vj", "compact", ctx)
+    chaotic = _run(small_dblp, 0.2, "vj", ctx)
     assert _pairs(chaotic) == _pairs(clean)
     assert vars(chaotic.stats) == vars(clean.stats)
     _assert_clean(ctx)
@@ -221,9 +205,9 @@ def test_respawned_workers_reattach_for_free(small_dblp):
 @needs_shm
 def test_per_stage_broadcast_bytes_are_handle_sized(small_dblp):
     shm_ctx = Context(4, shm_broadcast=True)
-    _run(small_dblp, 0.2, "vj", "compact", shm_ctx)
+    _run(small_dblp, 0.2, "vj", shm_ctx)
     pickle_ctx = Context(4, shm_broadcast=False)
-    _run(small_dblp, 0.2, "vj", "compact", pickle_ctx)
+    _run(small_dblp, 0.2, "vj", pickle_ctx)
 
     def stage_bytes(ctx):
         return {
@@ -253,9 +237,9 @@ def test_per_stage_broadcast_bytes_are_handle_sized(small_dblp):
 def test_broadcast_bytes_do_not_scale_with_stage_count(small_dblp):
     """Two joins on one context: per-stage cost stays flat (dedup+handles)."""
     ctx = Context(4, shm_broadcast=True)
-    _run(small_dblp, 0.2, "vj", "compact", ctx)
+    _run(small_dblp, 0.2, "vj", ctx)
     one_join = ctx.metrics.combined().total_broadcast_bytes
-    _run(small_dblp, 0.2, "vj", "compact", ctx)
+    _run(small_dblp, 0.2, "vj", ctx)
     two_joins = ctx.metrics.combined().total_broadcast_bytes
     _assert_clean(ctx)
     # Each join publishes its own segments, so the total may double —
@@ -314,10 +298,10 @@ def test_without_shared_memory_module_everything_still_works(
 ):
     monkeypatch.setattr(broadcast_module, "_shared_memory", None)
     assert not shm_available()
-    clean = _run(small_dblp, 0.2, "vj", "compact", Context(4))
+    clean = _run(small_dblp, 0.2, "vj", Context(4))
     ctx = Context(4)  # auto-detect lands on the pickle plane
     assert not ctx.broadcasts.enabled
-    result = _run(small_dblp, 0.2, "vj", "compact", ctx)
+    result = _run(small_dblp, 0.2, "vj", ctx)
     assert _pairs(result) == _pairs(clean)
     assert ctx.broadcasts.summary()["segments"] == 0
     _assert_clean(ctx)

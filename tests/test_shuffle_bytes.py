@@ -95,18 +95,6 @@ class TestStageAccounting:
             assert combined.total_shuffle_records > 0
             assert combined.total_shuffle_bytes > 0
 
-    def test_compact_shuffles_fewer_bytes_than_legacy(self, small_dblp):
-        def totals(token_format):
-            ctx = Context(default_parallelism=4)
-            vj_join(ctx, small_dblp, 0.25, token_format=token_format)
-            combined = ctx.metrics.combined()
-            return combined.total_shuffle_records, combined.total_shuffle_bytes
-
-        compact_records, compact_bytes = totals("compact")
-        legacy_records, legacy_bytes = totals("legacy")
-        assert compact_bytes < legacy_bytes
-        assert compact_records <= legacy_records
-
 
 class TestClusterModel:
     def test_bytes_add_network_time(self):
@@ -155,31 +143,13 @@ class TestBenchSurface:
         assert record.shuffle_records > 0
         assert record.shuffle_bytes > 0
 
-    def test_record_payload_has_token_format_and_shuffle_fields(self):
-        config = RunConfig(
-            algorithm="cl", workload="dblp", theta=0.2,
-            token_format="legacy",
-        )
+    def test_record_payload_has_shuffle_fields(self):
+        config = RunConfig(algorithm="cl", workload="dblp", theta=0.2)
         record = RunRecord(
             config=config, wall_seconds=1.0, simulated={}, result_count=3,
             phase_seconds={}, stats={}, shuffle_records=42,
             shuffle_bytes=4242,
         )
         payload = record_payload(record)
-        assert payload["token_format"] == "legacy"
         assert payload["shuffle_records"] == 42
         assert payload["shuffle_bytes"] == 4242
-
-    def test_token_format_flows_through_dispatch(self):
-        compact = run(
-            RunConfig(algorithm="vj-nl", workload="dblp", theta=0.3,
-                      num_partitions=4, token_format="compact"),
-            clusters={},
-        )
-        legacy = run(
-            RunConfig(algorithm="vj-nl", workload="dblp", theta=0.3,
-                      num_partitions=4, token_format="legacy"),
-            clusters={},
-        )
-        assert compact.result_count == legacy.result_count
-        assert compact.shuffle_bytes < legacy.shuffle_bytes

@@ -11,7 +11,7 @@ the data.
 Pinned three ways, mirroring ``test_chaos_equivalence``:
 
 * hypothesis: random tiny-domain datasets x budgets x all four join
-  variants x both token formats, with and without disk-fault plans;
+  variants, with and without disk-fault plans;
 * the parallel backends (threads and processes) under a 1-byte budget
   plus disk faults agree with clean in-memory serial;
 * spill hygiene: every run ends with zero leaked segment files.
@@ -60,13 +60,12 @@ def _pairs(result):
     )
 
 
-def _run(dataset, theta, algorithm, token_format, ctx):
+def _run(dataset, theta, algorithm, ctx):
     kwargs = {"partition_threshold": 6} if algorithm == "cl-p" else {}
     if algorithm in ("cl", "cl-p"):
         kwargs["theta_c"] = min(0.03, theta)
     return similarity_join(
-        dataset, theta, algorithm=algorithm, ctx=ctx,
-        token_format=token_format, **kwargs,
+        dataset, theta, algorithm=algorithm, ctx=ctx, **kwargs
     )
 
 
@@ -82,14 +81,11 @@ def _assert_equivalent(budgeted_ctx, budgeted, clean):
     st.sampled_from([0.0, 0.1, 0.2, 0.4, 0.95]),
     st.sampled_from([1, 256, 4096]),  # all-spill .. mixed memory/disk
     st.sampled_from(ALGORITHMS),
-    st.sampled_from(["compact", "legacy"]),
 )
-def test_spill_forced_run_equals_in_memory(
-    dataset, theta, budget, algorithm, token_format
-):
-    clean = _run(dataset, theta, algorithm, token_format, Context(3))
+def test_spill_forced_run_equals_in_memory(dataset, theta, budget, algorithm):
+    clean = _run(dataset, theta, algorithm, Context(3))
     ctx = Context(3, memory_budget_bytes=budget)
-    budgeted = _run(dataset, theta, algorithm, token_format, ctx)
+    budgeted = _run(dataset, theta, algorithm, ctx)
     _assert_equivalent(ctx, budgeted, clean)
     summary = ctx.spill_summary()
     assert summary["peak_tracked_bytes"] <= budget
@@ -101,17 +97,14 @@ def test_spill_forced_run_equals_in_memory(
     st.sampled_from([0.1, 0.2, 0.4]),
     disk_fault_plans,
     st.sampled_from(ALGORITHMS),
-    st.sampled_from(["compact", "legacy"]),
 )
-def test_disk_fault_run_equals_in_memory(
-    dataset, theta, plan, algorithm, token_format
-):
-    clean = _run(dataset, theta, algorithm, token_format, Context(3))
+def test_disk_fault_run_equals_in_memory(dataset, theta, plan, algorithm):
+    clean = _run(dataset, theta, algorithm, Context(3))
     ctx = Context(
         3, memory_budget_bytes=1, chaos=plan,
         task_retries=plan.max_faults_per_task, retry_policy=_fast_retry,
     )
-    faulted = _run(dataset, theta, algorithm, token_format, ctx)
+    faulted = _run(dataset, theta, algorithm, ctx)
     _assert_equivalent(ctx, faulted, clean)
     summary = ctx.spill_summary()
     if plan.spill_write_error_rate == 1.0 and summary["spill_files"]:
@@ -122,12 +115,12 @@ def test_disk_fault_run_equals_in_memory(
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_spill_equivalence_on_threads(small_dblp, algorithm):
-    clean = _run(small_dblp, 0.2, algorithm, "compact", Context(4))
+    clean = _run(small_dblp, 0.2, algorithm, Context(4))
     plan = FaultPlan(seed=9, spill_fault_rate=0.5,
                      spill_write_error_rate=0.3, shuffle_loss_rate=0.5)
     ctx = Context(4, executor="threads", memory_budget_bytes=1,
                   chaos=plan, task_retries=2, retry_policy=_fast_retry)
-    budgeted = _run(small_dblp, 0.2, algorithm, "compact", ctx)
+    budgeted = _run(small_dblp, 0.2, algorithm, ctx)
     _assert_equivalent(ctx, budgeted, clean)
     summary = ctx.spill_summary()
     assert summary["spill_files"] > 0
@@ -136,12 +129,12 @@ def test_spill_equivalence_on_threads(small_dblp, algorithm):
 
 @pytest.mark.parametrize("algorithm", ["vj", "cl"])
 def test_spill_equivalence_on_processes(small_dblp, algorithm):
-    clean = _run(small_dblp, 0.2, algorithm, "compact", Context(4))
+    clean = _run(small_dblp, 0.2, algorithm, Context(4))
     plan = FaultPlan(seed=2, spill_fault_rate=0.5)
     ctx = Context(4, executor="processes", max_workers=2,
                   memory_budget_bytes=1, chaos=plan, task_retries=2,
                   retry_policy=_fast_retry)
-    budgeted = _run(small_dblp, 0.2, algorithm, "compact", ctx)
+    budgeted = _run(small_dblp, 0.2, algorithm, ctx)
     _assert_equivalent(ctx, budgeted, clean)
     # Workers returned segment refs: segments were written (in children)
     # and adopted by the driver.

@@ -1,9 +1,9 @@
 """``JoinStats`` must be byte-identical across executors and chaos.
 
 The accumulator channel's contract: worker-side counters are *exact* —
-not approximately right, not right-on-serial-only.  For every algorithm
-and token format, ``vars(result.stats)`` from a parallel or fault-injected
-run equals the fault-free serial run exactly:
+not approximately right, not right-on-serial-only.  For every algorithm,
+``vars(result.stats)`` from a parallel or fault-injected run equals the
+fault-free serial run exactly:
 
 * retried attempts must not double-count (only the winning attempt's
   delta merges);
@@ -32,7 +32,12 @@ K = 5
 DOMAIN = list(range(11))
 
 ALGORITHMS = ["vj", "vj-nl", "cl", "cl-p"]
-TOKEN_FORMATS = ["compact", "legacy"]
+
+#: One case per algorithm; the ids keep the ``compact-`` prefix under which
+#: the tier-1 floor list knows these cases.
+per_algorithm = pytest.mark.parametrize(
+    "algorithm", ALGORITHMS, ids=[f"compact-{name}" for name in ALGORITHMS]
+)
 
 #: No sleeping between attempts: the counter contract is what's under test.
 _fast_retry = RetryPolicy(backoff_base_seconds=0.0)
@@ -56,16 +61,14 @@ fault_plans = st.builds(
 )
 
 
-def _run(dataset, theta, algorithm, token_format, ctx):
+def _run(dataset, theta, algorithm, ctx):
     if algorithm in ("vj", "vj-nl"):
         return vj_join(
             ctx, dataset, theta,
             variant="nl" if algorithm == "vj-nl" else "index",
-            token_format=token_format,
         )
     kwargs = {"partition_threshold": 6} if algorithm == "cl-p" else {}
-    return cl_join(ctx, dataset, theta, theta_c=min(0.03, theta),
-                   token_format=token_format, **kwargs)
+    return cl_join(ctx, dataset, theta, theta_c=min(0.03, theta), **kwargs)
 
 
 def _stats(result) -> dict:
@@ -80,12 +83,11 @@ def _stats(result) -> dict:
     datasets(),
     st.sampled_from([0.0, 0.1, 0.2, 0.4]),
     st.sampled_from(ALGORITHMS),
-    st.sampled_from(TOKEN_FORMATS),
 )
-def test_stats_identical_on_threads(dataset, theta, algorithm, token_format):
-    clean = _run(dataset, theta, algorithm, token_format, Context(3))
+def test_stats_identical_on_threads(dataset, theta, algorithm):
+    clean = _run(dataset, theta, algorithm, Context(3))
     threaded_ctx = Context(3, executor="threads", max_workers=3)
-    threaded = _run(dataset, theta, algorithm, token_format, threaded_ctx)
+    threaded = _run(dataset, theta, algorithm, threaded_ctx)
     assert _stats(threaded) == _stats(clean)
     assert threaded_ctx.cached_partition_count() == 0
 
@@ -96,17 +98,14 @@ def test_stats_identical_on_threads(dataset, theta, algorithm, token_format):
     st.sampled_from([0.0, 0.1, 0.2, 0.4]),
     fault_plans,
     st.sampled_from(ALGORITHMS),
-    st.sampled_from(TOKEN_FORMATS),
 )
-def test_stats_identical_under_chaos(
-    dataset, theta, plan, algorithm, token_format
-):
-    clean = _run(dataset, theta, algorithm, token_format, Context(3))
+def test_stats_identical_under_chaos(dataset, theta, plan, algorithm):
+    clean = _run(dataset, theta, algorithm, Context(3))
     chaotic_ctx = Context(
         3, task_retries=plan.max_faults_per_task, chaos=plan,
         retry_policy=_fast_retry,
     )
-    chaotic = _run(dataset, theta, algorithm, token_format, chaotic_ctx)
+    chaotic = _run(dataset, theta, algorithm, chaotic_ctx)
     assert _stats(chaotic) == _stats(clean)
     if plan.transient_rate == 1.0:
         # Every attempt faulted at least once, so discarded first-attempt
@@ -120,17 +119,14 @@ def test_stats_identical_under_chaos(
 # ---------------------------------------------------- parallel backends
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("token_format", TOKEN_FORMATS)
-def test_stats_identical_on_threads_under_chaos(
-    small_dblp, algorithm, token_format
-):
-    clean = _run(small_dblp, 0.2, algorithm, token_format, Context(4))
+@per_algorithm
+def test_stats_identical_on_threads_under_chaos(small_dblp, algorithm):
+    clean = _run(small_dblp, 0.2, algorithm, Context(4))
     plan = FaultPlan(seed=9, transient_rate=0.3, straggler_rate=0.1,
                      straggler_seconds=0.001, shuffle_loss_rate=0.5)
     ctx = Context(4, executor="threads", task_retries=2, chaos=plan,
                   retry_policy=_fast_retry)
-    chaotic = _run(small_dblp, 0.2, algorithm, token_format, ctx)
+    chaotic = _run(small_dblp, 0.2, algorithm, ctx)
     assert _stats(chaotic) == _stats(clean)
     assert ctx.metrics.recovery_summary()["chaos_faults"] > 0
     assert ctx.cached_partition_count() == 0
@@ -138,26 +134,26 @@ def test_stats_identical_on_threads_under_chaos(
 
 @pytest.mark.parametrize("algorithm", ["vj", "cl"])
 def test_stats_identical_on_processes(small_dblp, algorithm):
-    clean = _run(small_dblp, 0.2, algorithm, "compact", Context(4))
+    clean = _run(small_dblp, 0.2, algorithm, Context(4))
     ctx = Context(4, executor="processes", max_workers=2)
-    forked = _run(small_dblp, 0.2, algorithm, "compact", ctx)
+    forked = _run(small_dblp, 0.2, algorithm, ctx)
     assert _stats(forked) == _stats(clean)
     assert ctx.cached_partition_count() == 0
 
 
 def test_stats_identical_on_processes_with_kills(small_dblp):
-    clean = _run(small_dblp, 0.2, "vj", "compact", Context(4))
+    clean = _run(small_dblp, 0.2, "vj", Context(4))
     plan = FaultPlan(seed=2, kill_rate=0.4, transient_rate=0.2)
     ctx = Context(4, executor="processes", max_workers=2, task_retries=2,
                   chaos=plan, max_worker_respawns=64,
                   retry_policy=_fast_retry)
-    chaotic = _run(small_dblp, 0.2, "vj", "compact", ctx)
+    chaotic = _run(small_dblp, 0.2, "vj", ctx)
     assert _stats(chaotic) == _stats(clean)
 
 
 def test_stats_identical_under_speculation(small_dblp):
     """Speculation losers' deltas are discarded, never merged."""
-    clean = _run(small_dblp, 0.2, "vj", "compact", Context(4))
+    clean = _run(small_dblp, 0.2, "vj", Context(4))
     plan = FaultPlan(seed=5, straggler_rate=0.5, straggler_seconds=0.2)
     ctx = Context(
         4, executor="threads", max_workers=4, chaos=plan, task_retries=1,
@@ -165,7 +161,7 @@ def test_stats_identical_under_speculation(small_dblp):
         speculation=SpeculationPolicy(multiplier=1.5, min_seconds=0.02,
                                       poll_seconds=0.005),
     )
-    raced = _run(small_dblp, 0.2, "vj", "compact", ctx)
+    raced = _run(small_dblp, 0.2, "vj", ctx)
     assert _stats(raced) == _stats(clean)
 
 
@@ -183,7 +179,7 @@ def test_repartitioned_groups_exact_under_shuffle_loss(small_dblp, executor):
     once, so any double-counting would show immediately.
     """
     clean_ctx = Context(4)
-    clean = _run(small_dblp, 0.2, "cl-p", "compact", clean_ctx)
+    clean = _run(small_dblp, 0.2, "cl-p", clean_ctx)
     assert clean.stats.repartitioned_groups > 0, (
         "fixture too small to trigger repartitioning — the regression "
         "would not be exercised"
@@ -191,7 +187,7 @@ def test_repartitioned_groups_exact_under_shuffle_loss(small_dblp, executor):
     plan = FaultPlan(seed=17, shuffle_loss_rate=1.0, max_faults_per_task=1)
     ctx = Context(4, executor=executor, task_retries=2, chaos=plan,
                   retry_policy=_fast_retry)
-    chaotic = _run(small_dblp, 0.2, "cl-p", "compact", ctx)
+    chaotic = _run(small_dblp, 0.2, "cl-p", ctx)
     assert (
         chaotic.stats.repartitioned_groups == clean.stats.repartitioned_groups
     )
@@ -222,10 +218,9 @@ def test_metric_partition_stats_identical(small_dblp, executor):
 # ------------------------------------------------------------ cache hygiene
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("token_format", TOKEN_FORMATS)
-def test_joins_unpersist_their_caches(small_dblp, algorithm, token_format):
+@per_algorithm
+def test_joins_unpersist_their_caches(small_dblp, algorithm):
     """Every RDD a join caches is unpersisted before it returns."""
     ctx = Context(4)
-    _run(small_dblp, 0.2, algorithm, token_format, ctx)
+    _run(small_dblp, 0.2, algorithm, ctx)
     assert ctx.cached_partition_count() == 0

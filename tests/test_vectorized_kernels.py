@@ -9,8 +9,8 @@ counter are pinned byte-identical to ``kernel="scalar"``.  The contract
 is tested three ways:
 
 * hypothesis equivalence on adversarial tiny-domain datasets across all
-  four algorithms, both token formats, both prefix schemes, the
-  repartitioning (R-S) branch, and the position filter on/off — the CL
+  four algorithms, both prefix schemes, the repartitioning (R-S)
+  branch, and the position filter on/off — the CL
   runs also exercise the typed Lemma 5.3 thresholds with their mixed
   singleton/member prefix lengths;
 * unit equivalence of the primitives against their scalar counterparts:
@@ -86,21 +86,18 @@ def _signature(result):
     thetas,
     st.sampled_from(["overlap", "ordered"]),
     st.sampled_from(["index", "nl"]),
-    st.sampled_from(["compact", "legacy"]),
     st.booleans(),
 )
 def test_vj_vectorized_equals_scalar(
-    dataset, theta, prefix, variant, token_format, use_position_filter
+    dataset, theta, prefix, variant, use_position_filter
 ):
     scalar = vj_join(
         Context(3), dataset, theta, prefix=prefix, variant=variant,
-        token_format=token_format, use_position_filter=use_position_filter,
-        kernel="scalar",
+        use_position_filter=use_position_filter, kernel="scalar",
     )
     vectorized = vj_join(
         Context(3), dataset, theta, prefix=prefix, variant=variant,
-        token_format=token_format, use_position_filter=use_position_filter,
-        kernel="vectorized",
+        use_position_filter=use_position_filter, kernel="vectorized",
     )
     assert _signature(vectorized) == _signature(scalar)
     brute = {(i, j) for i, j, _d in bruteforce_join(dataset, theta).pairs}
@@ -112,20 +109,17 @@ def test_vj_vectorized_equals_scalar(
     datasets(),
     thetas,
     st.sampled_from(["index", "nl"]),
-    st.sampled_from(["compact", "legacy"]),
     st.sampled_from([None, 4]),
 )
 def test_vj_repartitioned_vectorized_equals_scalar(
-    dataset, theta, variant, token_format, partition_threshold
+    dataset, theta, variant, partition_threshold
 ):
     scalar = vj_join(
         Context(3), dataset, theta, variant=variant,
-        token_format=token_format,
         partition_threshold=partition_threshold, kernel="scalar",
     )
     vectorized = vj_join(
         Context(3), dataset, theta, variant=variant,
-        token_format=token_format,
         partition_threshold=partition_threshold, kernel="vectorized",
     )
     assert _signature(vectorized) == _signature(scalar)
@@ -136,26 +130,22 @@ def test_vj_repartitioned_vectorized_equals_scalar(
     datasets(),
     thetas,
     st.sampled_from(["index", "nl"]),
-    st.sampled_from(["compact", "legacy"]),
     st.sampled_from([None, 4]),
     st.booleans(),
 )
 def test_cl_vectorized_equals_scalar(
-    dataset, theta, variant, token_format, partition_threshold,
-    triangle_accept,
+    dataset, theta, variant, partition_threshold, triangle_accept
 ):
     # theta_c < theta exercises the typed thresholds with mixed
     # singleton/member prefix lengths; cl-p adds the typed R-S branch.
     scalar = cl_join(
         Context(3), dataset, theta, theta_c=min(0.03, theta),
-        variant=variant, token_format=token_format,
-        partition_threshold=partition_threshold,
+        variant=variant, partition_threshold=partition_threshold,
         triangle_accept=triangle_accept, kernel="scalar",
     )
     vectorized = cl_join(
         Context(3), dataset, theta, theta_c=min(0.03, theta),
-        variant=variant, token_format=token_format,
-        partition_threshold=partition_threshold,
+        variant=variant, partition_threshold=partition_threshold,
         triangle_accept=triangle_accept, kernel="vectorized",
     )
     assert _signature(vectorized) == _signature(scalar)

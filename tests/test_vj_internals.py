@@ -1,9 +1,13 @@
 """White-box tests of the VJ pipeline's building blocks."""
 
+from types import SimpleNamespace
+
+from repro.joins.compact import emit_prefix_tokens, make_compact_kernels
+from repro.joins.jaccard import order_rankings_rdd
 from repro.joins.types import JoinStats
-from repro.joins.vj import make_kernels, order_rankings_rdd
 from repro.minispark import Context
 from repro.rankings import Ranking, item_frequencies
+from repro.rankings.encoding import ColumnarStore, ItemEncoder, encode_ordered
 
 
 class TestOrderRankingsRdd:
@@ -31,57 +35,60 @@ class TestOrderRankingsRdd:
         # At least two jobs: the reduceByKey collect + the final collect.
         assert len(ctx.metrics.jobs) >= 2
 
-    def test_rank_order_prefix_skips_frequency_job(self):
-        ctx = Context(2)
-        ordered = order_rankings_rdd(
-            ctx, ctx.parallelize(self._rankings(), 2), prefix="ordered"
-        ).collect()
-        assert len(ctx.metrics.jobs) == 1  # only the collect itself
-        # Canonical order is the rank order.
-        for o in ordered:
-            assert [item for item, _rank in o.pairs] == list(o.ranking.items)
-            assert [rank for _item, rank in o.pairs] == list(
-                range(o.ranking.k)
-            )
-
 
 class TestMakeKernels:
     def _group(self):
-        """A posting-list group: every member contains the key item 1."""
-        from repro.rankings import order_dataset
+        """A posting-list group: every member contains the key item 1.
 
+        Item 1 is the globally rarest item (code 0), so its group owns
+        every pair under the rarest-common-prefix-item rule.  Returns
+        ``(key_code, tokens, store)``.
+        """
         rankings = [
             Ranking(0, [1, 2, 3, 4, 5]),
             Ranking(1, [1, 2, 3, 4, 5]),
             Ranking(2, [9, 8, 7, 6, 1]),
         ]
-        return order_dataset(rankings)
+        encoder = ItemEncoder({1: 1, **{item: 2 for item in range(2, 10)}})
+        ordered = [encode_ordered(r, encoder) for r in rankings]
+        key = encoder.code_of[1]
+        tokens = [
+            token
+            for o in ordered
+            for code, token in emit_prefix_tokens(o, prefix_size=5)
+            if code == key
+        ]
+        store = SimpleNamespace(
+            value=ColumnarStore.from_ordered(ordered, len(encoder))
+        )
+        return key, tokens, store
 
     def test_index_and_nl_kernels_agree(self):
-        group = self._group()
+        key, group, store = self._group()
         for variant in ("index", "nl"):
-            kernel, _rs = make_kernels(
-                variant, prefix_size=5, theta_raw=10, stats=JoinStats(),
+            kernel, _rs = make_compact_kernels(
+                variant, theta_raw=10, store=store, stats=JoinStats(),
                 use_position_filter=True,
             )
-            found = {pair for pair, _d in kernel(1, group)}
+            found = {pair for pair, _d in kernel(key, group)}
             assert found == {(0, 1)}, variant
 
     def test_rs_kernel_respects_threshold(self):
-        group = self._group()
-        _kernel, rs = make_kernels(
-            "nl", prefix_size=5, theta_raw=10, stats=JoinStats(),
+        key, group, store = self._group()
+        _kernel, rs = make_compact_kernels(
+            "nl", theta_raw=10, store=store, stats=JoinStats(),
             use_position_filter=True,
         )
-        found = {pair for pair, _d in rs(1, group[:1], group[1:])}
+        found = {pair for pair, _d in rs(key, group[:1], group[1:])}
         assert found == {(0, 1)}
 
     def test_stats_shared_between_kernels(self):
         stats = JoinStats()
-        kernel, rs = make_kernels(
-            "nl", prefix_size=5, theta_raw=10, stats=stats,
+        key, group, store = self._group()
+        kernel, rs = make_compact_kernels(
+            "nl", theta_raw=10, store=store, stats=stats,
             use_position_filter=True,
         )
-        list(kernel(1, self._group()))
-        list(rs(1, self._group()[:1], self._group()[1:]))
+        list(kernel(key, group))
+        list(rs(key, group[:1], group[1:]))
         assert stats.candidates > 0
