@@ -65,9 +65,6 @@ class RunConfig:
     #: Shuffle memory budget for out-of-core runs (None: all in memory).
     memory_budget_bytes: int | None = None
     spill_dir: str | None = None
-    #: Broadcast plane: True forces shared memory, False forces pickle,
-    #: None (default) auto-detects.  Results are identical either way.
-    shm_broadcast: bool | None = None
     #: Benchmarks are self-profiling by default: the run's trace digest
     #: (stage counts, phases, skew) is stamped into the record.
     trace: bool = True
@@ -124,7 +121,6 @@ def run(
         tracer=config.trace,
         memory_budget_bytes=config.memory_budget_bytes,
         spill_dir=config.spill_dir,
-        shm_broadcast=config.shm_broadcast,
     )
 
     try:

@@ -23,6 +23,7 @@ Example session::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -60,6 +61,38 @@ def parse_bytes(text: str) -> int:
             f"byte count must be positive, got {text!r}"
         )
     return value
+
+
+#: ``--chaos`` key -> FaultPlan field: ``seed`` plus every rate field
+#: without its ``_rate``.
+CHAOS_KEYS = {"seed": "seed"} | {
+    field.name.removesuffix("_rate"): field.name
+    for field in dataclasses.fields(FaultPlan)
+    if field.name.endswith("_rate")
+}
+
+
+def parse_chaos(text: str) -> FaultPlan:
+    """Build the ``--chaos seed=42,transient=0.2,...`` fault plan.
+
+    Raises ``ValueError`` on an unknown key, a malformed value, or a
+    rate outside ``[0, 1]`` (the latter from ``FaultPlan`` itself).
+    """
+    plan: dict = {}
+    for part in text.split(","):
+        key, _, raw = part.strip().partition("=")
+        if key not in CHAOS_KEYS:
+            raise ValueError(
+                f"--chaos: unknown key {key!r}; choose from "
+                + ", ".join(CHAOS_KEYS)
+            )
+        try:
+            plan[CHAOS_KEYS[key]] = int(raw) if key == "seed" else float(raw)
+        except ValueError:
+            raise ValueError(
+                f"--chaos: {key} needs a number, got {raw!r}"
+            ) from None
+    return FaultPlan(**plan)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,30 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--task-retries", type=int, default=0,
                       help="retry budget per task before the job fails "
                       "(default 0: fail fast)")
-    join.add_argument("--chaos-seed", type=int, default=0,
-                      help="seed of the fault-injection plan (only used "
-                      "when a chaos rate is nonzero)")
-    join.add_argument("--chaos-rate", type=float, default=0.0,
-                      help="per-attempt probability of an injected "
-                      "transient task failure (default 0: no chaos)")
-    join.add_argument("--chaos-straggler-rate", type=float, default=0.0,
-                      help="per-attempt probability of an injected task "
-                      "slowdown")
-    join.add_argument("--chaos-kill-rate", type=float, default=0.0,
-                      help="per-task probability of hard worker death "
-                      "(processes executor only)")
-    join.add_argument("--chaos-spill-fault-rate", type=float, default=0.0,
-                      help="per-segment probability that a spill file is "
-                      "deleted, corrupted, or truncated before reuse "
-                      "(needs --memory-budget; recovered via lineage)")
-    join.add_argument("--chaos-spill-write-error-rate", type=float,
-                      default=0.0,
-                      help="per-write probability of an injected ENOSPC "
-                      "on a spill segment (retried up to the fault cap)")
-    join.add_argument("--chaos-shm-unlink-rate", type=float, default=0.0,
-                      help="per-broadcast probability that the shared-"
-                      "memory segment is unlinked before the first stage "
-                      "uses it (recovered by falling back to pickle)")
+    join.add_argument("--chaos", default=None, metavar="KEY=VALUE,...",
+                      help="seeded fault-injection plan, e.g. "
+                      "seed=42,transient=0.2,kill=0.1 — keys: "
+                      + ", ".join(CHAOS_KEYS) + " (rates are per-attempt "
+                      "probabilities in [0, 1]; kill needs the processes "
+                      "executor, the spill faults --memory-budget)")
     join.add_argument("--memory-budget", type=parse_bytes, default=None,
                       metavar="BYTES",
                       help="shuffle memory budget; buckets over budget "
@@ -138,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--spill-dir", default=None, metavar="DIR",
                       help="parent directory for spill segment files "
                       "(default: system temp; needs --memory-budget)")
-    join.add_argument("--no-shm", action="store_true",
-                      help="disable the zero-copy shared-memory broadcast "
-                      "plane and ship broadcast payloads by pickle "
-                      "(results and stats are identical either way)")
     join.add_argument("--speculation", action="store_true",
                       help="duplicate straggling tasks on parallel "
                       "backends (first finished attempt wins)")
@@ -240,30 +251,16 @@ def _cmd_join(args) -> int:
             args.delta = suggest_partition_threshold(dataset, args.theta)
             print(f"delta not given; using Eq. 4 suggestion {args.delta}")
         options["partition_threshold"] = args.delta
-    chaos = None
-    if (args.chaos_rate or args.chaos_straggler_rate or args.chaos_kill_rate
-            or args.chaos_spill_fault_rate
-            or args.chaos_spill_write_error_rate
-            or args.chaos_shm_unlink_rate):
-        chaos = FaultPlan(
-            seed=args.chaos_seed,
-            transient_rate=args.chaos_rate,
-            straggler_rate=args.chaos_straggler_rate,
-            kill_rate=args.chaos_kill_rate,
-            spill_fault_rate=args.chaos_spill_fault_rate,
-            spill_write_error_rate=args.chaos_spill_write_error_rate,
-            shm_unlink_rate=args.chaos_shm_unlink_rate,
-        )
     try:
         ctx = Context(
             default_parallelism=args.partitions,
             executor=args.executor, max_workers=args.max_workers,
-            task_retries=args.task_retries, chaos=chaos,
+            task_retries=args.task_retries,
+            chaos=parse_chaos(args.chaos) if args.chaos else None,
             speculation=SpeculationPolicy() if args.speculation else None,
             tracer=True if (args.trace_out or args.trace_summary) else None,
             memory_budget_bytes=args.memory_budget,
             spill_dir=args.spill_dir,
-            shm_broadcast=False if args.no_shm else None,
         )
         result = similarity_join(
             dataset, args.theta, algorithm=args.algorithm, ctx=ctx,
@@ -315,18 +312,11 @@ def _cmd_join(args) -> int:
         )
     broadcast = ctx.broadcast_summary()
     if broadcast["broadcasts"]:
+        stage_bytes = ctx.metrics.combined().total_broadcast_bytes
         print(
-            f"# broadcast: plane "
-            f"{'shm' if broadcast['enabled'] else 'pickle'}, "
-            f"{broadcast['broadcasts']} broadcasts "
+            f"# broadcast: {broadcast['broadcasts']} broadcasts "
             f"({broadcast['dedup_hits']} deduped), "
-            f"{broadcast['segments']} segments / "
-            f"{broadcast['shm_bytes']} bytes published, "
-            f"{broadcast['attaches']} attaches, "
-            f"{broadcast['payload_pickles']} payload pickles, "
-            f"fallbacks {broadcast['fallbacks']}, "
-            f"faults {broadcast['faults_injected']}, "
-            f"live segments {broadcast['live_segments']}",
+            f"{stage_bytes} stage bytes",
             file=sys.stderr,
         )
     if args.stats_out:

@@ -61,7 +61,6 @@ def similarity_join(
     trace: Tracer | bool | None = None,
     memory_budget_bytes: int | None = None,
     spill_dir: str | None = None,
-    shm_broadcast: bool | None = None,
     degrade_on_failure: bool = True,
     **options,
 ) -> JoinResult:
@@ -85,7 +84,8 @@ def similarity_join(
         ``"threads"``, or ``"processes"``.  Only valid without ``ctx`` —
         pass ``Context(executor=...)`` to combine the two.
     max_workers:
-        Worker count for the parallel backends (defaults to CPU count).
+        Worker count for the parallel backends of the auto-created
+        context (defaults to CPU count).  Only valid without ``ctx``.
     kernel:
         Verification implementation of the prefix-filter algorithms:
         ``"vectorized"`` (columnar batch kernels over numpy arrays, the
@@ -123,13 +123,6 @@ def similarity_join(
     spill_dir:
         Parent directory for the spill files; requires
         ``memory_budget_bytes``.  Only valid without ``ctx``.
-    shm_broadcast:
-        Broadcast plane of the auto-created context: ``True`` forces the
-        zero-copy shared-memory plane (raises where unsupported),
-        ``False`` forces the classic pickle plane, ``None`` (default)
-        auto-detects.  Results and stats are byte-identical either way.
-        Only valid without ``ctx`` — pass
-        ``Context(shm_broadcast=...)`` instead.
     degrade_on_failure:
         When a backend is marked broken
         (:class:`~repro.minispark.chaos.ExecutorBrokenError`: workers
@@ -152,12 +145,12 @@ def similarity_join(
         )
     if ctx is not None:
         for name, value in (("executor", executor),
+                            ("max_workers", max_workers),
                             ("task_retries", task_retries),
                             ("chaos", chaos), ("speculation", speculation),
                             ("trace", trace),
                             ("memory_budget_bytes", memory_budget_bytes),
-                            ("spill_dir", spill_dir),
-                            ("shm_broadcast", shm_broadcast)):
+                            ("spill_dir", spill_dir)):
             if value is not None:
                 raise ValueError(
                     f"pass either ctx or {name}, not both — build the "
@@ -183,7 +176,6 @@ def similarity_join(
         tracer=trace,
         memory_budget_bytes=memory_budget_bytes,
         spill_dir=spill_dir,
-        shm_broadcast=shm_broadcast,
     )
     ships_rankings = algorithm not in ("vj", "vj-nl", "cl", "cl-p")
     if ctx.executor.name == "processes" and ships_rankings:

@@ -135,8 +135,8 @@ def cl_join(
     phase_seconds: dict = {}
     pinned: list = []
 
-    # Broadcast scope: any segment published during this join is
-    # unlinked when the join finishes.
+    # Broadcast scope: everything broadcast during this join is released
+    # when the join finishes.
     ctx.broadcasts.push_scope()
     try:
         # -------------------------------------------------- Phase 1: order

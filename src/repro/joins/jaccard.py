@@ -109,8 +109,8 @@ def jaccard_join(
     phase_seconds: dict = {}
     pinned: list = []
 
-    # Broadcast scope: the frequency-table segment is unlinked when the
-    # join finishes.
+    # Broadcast scope: the frequency table is released when the join
+    # finishes.
     ctx.broadcasts.push_scope()
     try:
         with phase_scope(ctx, "ordering", phase_seconds):

@@ -62,8 +62,8 @@ def metric_partition_join(
     channel = ctx.stats_channel(JoinStats, stats)
     phase_seconds: dict = {}
 
-    # Broadcast scope: the centroid table's segment is unlinked when the
-    # join finishes.
+    # Broadcast scope: the centroid table is released when the join
+    # finishes.
     ctx.broadcasts.push_scope()
     try:
         return _metric_partition_join(

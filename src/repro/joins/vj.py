@@ -87,9 +87,8 @@ def vj_join(
     phase_seconds: dict = {}
     pinned: list = []
 
-    # Broadcast scope: segments published by this join (the columnar
-    # store / frequency table) are unlinked when the join finishes — no
-    # shared-memory segment outlives a join.
+    # Broadcast scope: what this join broadcasts (the columnar store /
+    # frequency table) is released when the join finishes.
     ctx.broadcasts.push_scope()
     try:
         with phase_scope(ctx, "ordering", phase_seconds):

@@ -12,7 +12,6 @@ from .broadcast import (
     BroadcastManager,
     find_broadcasts,
     handles_only,
-    shm_available,
 )
 from .chaos import (
     CHAOS_KILL_EXIT_CODE,
@@ -100,5 +99,4 @@ __all__ = [
     "local_stats",
     "phase_scope",
     "portable_hash",
-    "shm_available",
 ]

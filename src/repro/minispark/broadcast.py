@@ -1,117 +1,67 @@
-"""Zero-copy broadcast plane for minispark.
+"""Broadcast variables for minispark (``sc.broadcast``).
 
-``Context.broadcast`` used to return a bare wrapper whose payload was
-embedded wherever the handle was pickled: into the stride-sampled
-shuffle-byte estimator, into shuffle checksums, into spill frames, and —
-on spawn-style executors — into every task closure.  This module turns
-broadcasts into *managed registry entries* with three properties:
+The joins broadcast three read-only values per run (ranking store, item
+frequencies, CL role flags).  ``Context.broadcast`` files each one in a
+process-local registry and hands out a :class:`Broadcast` handle:
 
-1. **Publish once.**  When shared memory is available the payload is
-   written a single time into a named ``multiprocessing.shared_memory``
-   segment.  Values that expose the buffer protocol through a
-   ``to_shm()/from_shm()`` pair (the columnar ranking store, ndarrays,
-   raw bytes) are laid out as aligned raw buffers and reconstructed as
-   *read-only views* — an attaching process never copies or unpickles
-   the payload.  Everything else is pickled once into the segment and
-   loaded at most once per attaching process.
+1. **One registry, resolved by id.**  A managed handle carries a
+   ``broadcast_id``.  The only multi-process backend forks, so workers
+   inherit the registry (values included) copy-on-write and resolve every
+   handle without copying or unpickling anything.  Broadcasting the same
+   object twice returns the same handle (identity dedup).
 
-2. **Handles, not payloads.**  A managed :class:`Broadcast` pickles to a
-   ``(broadcast_id, descriptor)`` pair a few hundred bytes long; the
-   descriptor is the segment name plus reconstruction metadata.
-   Unpickling resolves through the process-local registry first (forked
-   workers inherit the driver's registry copy-on-write, so they pay
-   *zero* attaches and *zero* unpickles), then by mapping the named
-   segment, then by an embedded payload when the entry is on the pickle
-   plane.  Within :func:`handles_only` scopes (byte estimators,
-   checksums, spill frames) even pickle-plane handles serialize without
-   their payload, so broadcast traffic never pollutes shuffle
-   accounting or spill budgets.
+2. **Handles, not payloads.**  Within :func:`handles_only` scopes (byte
+   estimators, shuffle checksums, spill frames) a managed handle pickles
+   to its id alone, so broadcast payloads never pollute shuffle
+   accounting or spill budgets; the scheduler charges each stage the
+   handle bytes of the broadcasts its closures reference
+   (``StageMetrics.broadcast_bytes``).  Anywhere else a pickled handle
+   embeds its payload, so it stays usable in a process that does not
+   share the registry; ``payload_pickles`` counts those and no join is
+   expected to cause one.  A handle that arrives with neither a registry
+   entry nor a payload raises :class:`BroadcastLostError`.
 
-3. **Deterministic lifecycle.**  Joins bracket their broadcasts in
-   registry scopes (``push_scope``/``pop_scope``); leaving a scope
-   closes and unlinks every segment created inside it, so no segment
-   outlives a join.  A seeded chaos fault (``FaultPlan.shm_unlink_rate``)
-   can unlink a segment mid-run; the scheduler detects the lost segment
-   before launching the stage and demotes the entry to the pickle plane
-   (``shm -> pickle``), mirroring the spill subsystem's spill->memory
-   ladder — results and stats stay byte-identical.
-
-On platforms without ``multiprocessing.shared_memory`` (or with
-``REPRO_NO_SHM`` set / ``Context(shm_broadcast=False)``) the manager
-runs entirely on the pickle plane: identity dedup and accounting still
-apply, results are byte-identical, only the per-stage broadcast bytes
-grow from O(handle) to O(payload).
+3. **Join-scoped lifetime.**  Joins bracket their broadcasts in
+   ``push_scope``/``pop_scope``; leaving a scope drops every entry made
+   inside it, whether the join returned or raised.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import pickle
 import threading
+import types
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-
-import numpy as np
-
-try:  # pragma: no cover - exercised via the fallback tests' monkeypatch
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - platform without POSIX shm
-    _shared_memory = None
+from dataclasses import dataclass
 
 __all__ = [
     "Broadcast",
     "BroadcastLostError",
     "BroadcastManager",
-    "close_process_attachments",
     "find_broadcasts",
     "handles_only",
-    "prepare_fork",
-    "process_attaches",
-    "shm_available",
 ]
 
-_ALIGN = 8
 _CONTAINER_CAP = 64  # don't walk containers larger than this during scans
 _MAX_SCAN_DEPTH = 24
-_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
 _SEQ = itertools.count()
-_REGISTRY_LOCK = threading.Lock()
 
-#: broadcast_id -> _Entry.  Forked workers inherit this copy-on-write,
-#: which is exactly what makes handle resolution free on the fork
-#: backend: the child finds the driver's entry (original value included)
-#: without touching shared memory at all.
-_LOCAL_REGISTRY: dict = {}
-
-#: (pid, SharedMemory) pairs this process attached (not created).  Only
-#: entries recorded under the *current* pid are ours to close — a forked
-#: child inherits the parent's list but must not close the parent's
-#: mappings (the driver still uses them).
-_ATTACHMENTS: list = []
-
-_ATTACH_TOTAL = 0
-_attach_hook = None  # set by a BroadcastManager to surface tracer events
-
-#: SharedMemory objects whose close() raised BufferError (a live numpy
-#: view still exports their buffer).  Parking them here silences the
-#: finalizer's unraisable warning; the *names* were already unlinked.
-_ZOMBIES: list = []
+#: broadcast_id -> (handle, owning manager's counters).  Forked workers
+#: inherit this copy-on-write, which is what makes handle resolution free
+#: on the processes backend.
+_REGISTRY: dict = {}
 
 _tls = threading.local()
 
 
-def shm_available() -> bool:
-    """True when named shared-memory segments can be created here."""
-    return _shared_memory is not None
-
-
 class BroadcastLostError(RuntimeError):
-    """A broadcast handle could not be resolved (registry miss, segment
-    gone, no embedded payload).  Transient from the retry machinery's
-    point of view: a resubmitted task re-resolves against the current
-    registry state (which the scheduler repairs before each stage)."""
+    """A bare broadcast handle did not resolve: its id is not in this
+    process's registry (released, or pickled in another process) and it
+    carries no payload."""
 
 
 @contextmanager
@@ -121,7 +71,7 @@ def handles_only():
     Used by byte *estimators* (stride-sampled shuffle bytes, shuffle
     checksums) and by spill frame writers: broadcast payloads must never
     be charged to shuffle traffic nor written into spill segments — the
-    broadcast plane accounts for them exactly once.
+    per-stage ``broadcast_bytes`` account for them.
     """
     prev = getattr(_tls, "handles_only", False)
     _tls.handles_only = True
@@ -131,63 +81,12 @@ def handles_only():
         _tls.handles_only = prev
 
 
-def _in_handles_only() -> bool:
-    return getattr(_tls, "handles_only", False)
-
-
-class _Entry:
-    """Registry entry backing one managed broadcast."""
-
-    __slots__ = (
-        "broadcast_id", "value", "handle", "plane", "shm", "descriptor",
-        "shm_nbytes", "manager", "fault_epoch",
-        "_handle_nbytes", "_payload_nbytes",
-    )
-
-    def __init__(self, broadcast_id, value, handle, manager=None):
-        self.broadcast_id = broadcast_id
-        self.value = value
-        self.handle = handle
-        self.plane = "pickle"
-        self.shm = None
-        self.descriptor = None
-        self.shm_nbytes = 0
-        self.manager = manager
-        self.fault_epoch = 0
-        self._handle_nbytes = None
-        self._payload_nbytes = None
-
-    def handle_nbytes(self) -> int:
-        if self._handle_nbytes is None:
-            try:
-                with handles_only():
-                    self._handle_nbytes = len(
-                        pickle.dumps(self.handle, _PICKLE_PROTO)
-                    )
-            except Exception:
-                self._handle_nbytes = 0
-        return self._handle_nbytes
-
-    def payload_nbytes(self) -> int:
-        if self._payload_nbytes is None:
-            try:
-                with handles_only():
-                    self._payload_nbytes = len(
-                        pickle.dumps(self.value, _PICKLE_PROTO)
-                    )
-            except Exception:
-                self._payload_nbytes = 0
-        return self._payload_nbytes
-
-
 class Broadcast:
     """Handle for a read-only value shipped to every task.
 
     The analog of Spark's ``sc.broadcast``.  A bare ``Broadcast(value)``
-    (no id) still works and pickles by value, so ad-hoc uses outside a
-    :class:`BroadcastManager` behave exactly as before; handles minted by
-    ``Context.broadcast`` carry a ``broadcast_id`` and pickle as
-    registry/segment references instead of payload copies.
+    (no id) pickles by value; handles minted by ``Context.broadcast``
+    carry a ``broadcast_id`` and resolve through the registry.
     """
 
     __slots__ = ("broadcast_id", "_value")
@@ -204,241 +103,31 @@ class Broadcast:
         bid = self.broadcast_id
         if bid is None:
             return (Broadcast, (self._value,))
-        entry = _LOCAL_REGISTRY.get(bid)
-        if entry is None:
-            # Released (or foreign) handle: ship the resolved value so the
-            # receiver is self-contained.
-            return (_rebuild_broadcast, (bid, None, (self._value,)))
-        if entry.plane == "shm" and entry.descriptor is not None:
-            return (_rebuild_broadcast, (bid, entry.descriptor, None))
-        if _in_handles_only():
-            # Estimators/checksums/spill frames: never embed the payload.
-            return (_rebuild_broadcast, (bid, None, None))
-        manager = entry.manager
-        if manager is not None:
-            manager.counters.payload_pickles += 1
-        return (_rebuild_broadcast, (bid, None, (entry.value,)))
+        entry = _REGISTRY.get(bid)
+        if entry is not None:
+            if getattr(_tls, "handles_only", False):
+                return (_resolve, (bid,))
+            entry[1].payload_pickles += 1
+        # Outside handles_only, or a released (or foreign) handle: ship
+        # the value so the receiver is self-contained.
+        return (_resolve, (bid, (self._value,)))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         bid = self.broadcast_id or "plain"
         return f"Broadcast({bid}, {type(self._value).__name__})"
 
 
-def _rebuild_broadcast(broadcast_id, descriptor, payload):
-    """Unpickle-side resolution: registry, then segment, then payload."""
-    with _REGISTRY_LOCK:
-        entry = _LOCAL_REGISTRY.get(broadcast_id)
+def _resolve(broadcast_id, payload=None):
+    """Unpickle-side resolution: the registry, then an embedded payload."""
+    entry = _REGISTRY.get(broadcast_id)
     if entry is not None:
-        return entry.handle
-    if descriptor is not None and _shared_memory is not None:
-        try:
-            value, shm = _attach_descriptor(descriptor)
-        except (FileNotFoundError, OSError, ValueError):
-            pass
-        else:
-            handle = Broadcast(value, broadcast_id=broadcast_id)
-            entry = _Entry(broadcast_id, value, handle)
-            entry.plane = "attached"
-            entry.shm = shm
-            entry.descriptor = descriptor
-            with _REGISTRY_LOCK:
-                racer = _LOCAL_REGISTRY.setdefault(broadcast_id, entry)
-            return racer.handle
+        return entry[0]
     if payload is not None:
-        handle = Broadcast(payload[0], broadcast_id=broadcast_id)
-        with _REGISTRY_LOCK:
-            racer = _LOCAL_REGISTRY.setdefault(
-                broadcast_id, _Entry(broadcast_id, payload[0], handle)
-            )
-        return racer.handle
+        return Broadcast(payload[0], broadcast_id=broadcast_id)
     raise BroadcastLostError(
-        f"broadcast {broadcast_id} is not in the local registry and its "
-        "shared-memory segment is gone"
+        f"broadcast {broadcast_id} is not in this process's registry and "
+        "the handle carries no payload"
     )
-
-
-# ---------------------------------------------------------------------------
-# Segment layout
-
-
-def _aligned_offsets(nbytes_list):
-    offsets = []
-    total = 0
-    for nbytes in nbytes_list:
-        total = (total + _ALIGN - 1) & ~(_ALIGN - 1)
-        offsets.append(total)
-        total += nbytes
-    return offsets, total
-
-
-def _describe_payload(value):
-    """Plan the segment for ``value``: (kind, meta, buffers).
-
-    ``buffers`` is a list of contiguous read-only byte strings / arrays
-    written back-to-back (8-byte aligned).  Values exposing a
-    ``to_shm()/from_shm()`` pair get the raw-buffer treatment; plain
-    ndarrays and bytes likewise; anything else is pickled once into the
-    segment (still published once, loaded once per attaching process).
-    """
-    cls = type(value)
-    if hasattr(cls, "to_shm") and hasattr(cls, "from_shm"):
-        meta, arrays = value.to_shm()
-        arrays = [np.ascontiguousarray(a) for a in arrays]
-        offsets, total = _aligned_offsets([a.nbytes for a in arrays])
-        meta = dict(meta)
-        meta["offsets"] = offsets
-        meta["nbytes"] = total
-        return (
-            "buffers",
-            {"cls": f"{cls.__module__}:{cls.__qualname__}", "meta": meta},
-            arrays,
-        )
-    if isinstance(value, np.ndarray):
-        arr = np.ascontiguousarray(value)
-        return (
-            "ndarray",
-            {"dtype": arr.dtype.str, "shape": arr.shape, "nbytes": arr.nbytes},
-            [arr],
-        )
-    if isinstance(value, (bytes, bytearray)):
-        blob = bytes(value)
-        return ("bytes", {"nbytes": len(blob)}, [blob])
-    blob = pickle.dumps(value, _PICKLE_PROTO)
-    return ("pickle", {"nbytes": len(blob)}, [blob])
-
-
-def _write_buffers(shm, buffers, offsets):
-    for buf, offset in zip(buffers, offsets):
-        raw = buf.tobytes() if isinstance(buf, np.ndarray) else buf
-        shm.buf[offset:offset + len(raw)] = raw
-
-
-def _import_path(path: str):
-    module_name, _, qualname = path.partition(":")
-    import importlib
-
-    obj = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def _attach_descriptor(descriptor):
-    """Map a published segment and reconstruct the value.
-
-    Returns ``(value, shm_or_None)``; ``shm`` is kept open (and recorded
-    for :func:`close_process_attachments`) only when the reconstructed
-    value holds live views into the mapping.
-    """
-    global _ATTACH_TOTAL
-    kind = descriptor["kind"]
-    shm = _shared_memory.SharedMemory(name=descriptor["segment"])
-    keep = False
-    try:
-        if kind == "buffers":
-            cls = _import_path(descriptor["cls"])
-            value = cls.from_shm(descriptor["meta"], shm.buf, keep=shm)
-            keep = True
-        elif kind == "ndarray":
-            arr = np.frombuffer(
-                shm.buf, dtype=np.dtype(descriptor["dtype"]),
-                count=int(np.prod(descriptor["shape"], dtype=np.int64)),
-            ).reshape(descriptor["shape"])
-            arr.flags.writeable = False
-            value = arr
-            keep = True
-        elif kind == "bytes":
-            value = bytes(shm.buf[: descriptor["nbytes"]])
-        elif kind == "pickle":
-            value = pickle.loads(bytes(shm.buf[: descriptor["nbytes"]]))
-        else:
-            raise ValueError(f"unknown broadcast descriptor kind {kind!r}")
-    except BaseException:
-        _close_shm(shm)
-        raise
-    _ATTACH_TOTAL += 1
-    hook = _attach_hook
-    if hook is not None:
-        try:
-            hook(descriptor)
-        except Exception:
-            pass
-    if keep:
-        _ATTACHMENTS.append((os.getpid(), shm))
-        return value, shm
-    _close_shm(shm)
-    return value, None
-
-
-def _close_shm(shm):
-    try:
-        shm.close()
-    except BufferError:
-        # A numpy view still exports the buffer; park the object so the
-        # finalizer stays quiet.  The segment *name* is managed
-        # separately (unlink), so this never leaks a named segment.
-        _ZOMBIES.append(shm)
-
-
-def _unlink_shm(shm):
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):
-        pass
-
-
-def process_attaches() -> int:
-    """How many segment attaches this process has performed."""
-    return _ATTACH_TOTAL
-
-
-def close_process_attachments() -> int:
-    """Close every segment mapping *this* process attached.
-
-    Called by worker processes on their way out (and by the driver when
-    an executor is torn down).  Mappings inherited from a parent via
-    fork are skipped — they belong to the parent.  Returns the number of
-    mappings closed.
-    """
-    pid = os.getpid()
-    closed = 0
-    remaining = []
-    for owner_pid, shm in _ATTACHMENTS:
-        if owner_pid != pid:
-            remaining.append((owner_pid, shm))
-            continue
-        with _REGISTRY_LOCK:
-            stale = [
-                bid for bid, entry in _LOCAL_REGISTRY.items()
-                if entry.shm is shm and entry.plane == "attached"
-            ]
-            for bid in stale:
-                del _LOCAL_REGISTRY[bid]
-        _close_shm(shm)
-        closed += 1
-    _ATTACHMENTS[:] = remaining
-    return closed
-
-
-def prepare_fork() -> int:
-    """Driver-side hook run just before forking a stage's workers.
-
-    Drops registry entries that fell back to the pickle plane but still
-    reference a (now closed/unlinked) segment, so children never inherit
-    a mapping to a dead segment.  Returns the number of live shm entries
-    the children will inherit.
-    """
-    live = 0
-    with _REGISTRY_LOCK:
-        entries = list(_LOCAL_REGISTRY.values())
-    for entry in entries:
-        if entry.plane == "shm" and entry.shm is not None:
-            live += 1
-        elif entry.plane == "pickle" and entry.shm is not None:
-            _close_shm(entry.shm)
-            entry.shm = None
-            entry.descriptor = None
-    return live
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +147,6 @@ def find_broadcasts(roots) -> dict:
 
     Returns ``{broadcast_id_or_synthetic_key: handle}``.
     """
-    import functools
-    import types
-
     found: dict = {}
     objs: list = []
     seen_rdds: set = set()
@@ -543,201 +229,55 @@ class BroadcastCounters:
 
     broadcasts: int = 0
     dedup_hits: int = 0
-    segments: int = 0
-    shm_bytes: int = 0
-    released_segments: int = 0
-    fallbacks: int = 0
-    faults_injected: int = 0
     payload_pickles: int = 0
 
 
 class BroadcastManager:
-    """Registry of managed broadcasts for one Context.
+    """The managed broadcasts of one Context: identity dedup, scoped
+    lifetime, and the per-stage ``broadcast_bytes`` the scheduler charges."""
 
-    Owns publication (shared-memory segments when available), identity
-    dedup, scoped lifecycle, the chaos->pickle fallback ladder, and the
-    per-stage ``broadcast_bytes`` accounting the scheduler charges.
-    """
-
-    def __init__(self, enabled=None, *, chaos=None, metrics=None, tracer=None):
-        if enabled is None:
-            enabled = shm_available() and not os.environ.get("REPRO_NO_SHM")
-        self.enabled = bool(enabled) and shm_available()
-        self.chaos = chaos
-        self.metrics = metrics
-        self.tracer = tracer
+    def __init__(self):
         self.counters = BroadcastCounters()
         self._lock = threading.Lock()
-        self._entries: dict = {}
-        self._by_value: dict = {}
+        self._handles: dict = {}  # broadcast_id -> handle
+        self._by_value: dict = {}  # id(value) -> handle
         self._scopes: list = []
-        if self.tracer is not None:
-            global _attach_hook
-            _attach_hook = self._on_attach
-
-    # -- publication -------------------------------------------------------
 
     def broadcast(self, value) -> Broadcast:
         with self._lock:
-            bid = self._by_value.get(id(value))
-            if bid is not None:
-                entry = self._entries.get(bid)
-                if entry is not None and entry.value is value:
-                    self.counters.dedup_hits += 1
-                    return entry.handle
+            handle = self._by_value.get(id(value))
+            if handle is not None and handle.value is value:
+                self.counters.dedup_hits += 1
+                return handle
             bid = f"mspark_{os.getpid()}_{next(_SEQ)}"
             handle = Broadcast(value, broadcast_id=bid)
-            entry = _Entry(bid, value, handle, manager=self)
-            if self.enabled:
-                self._publish(entry)
-            self._entries[bid] = entry
-            self._by_value[id(value)] = bid
-            with _REGISTRY_LOCK:
-                _LOCAL_REGISTRY[bid] = entry
+            self._handles[bid] = handle
+            self._by_value[id(value)] = handle
+            _REGISTRY[bid] = (handle, self.counters)
             if self._scopes:
                 self._scopes[-1].append(bid)
             self.counters.broadcasts += 1
             return handle
 
-    def _publish(self, entry):
-        shm = None
-        try:
-            kind, info, buffers = _describe_payload(entry.value)
-            nbytes = (
-                info["meta"]["nbytes"] if kind == "buffers"
-                else info["nbytes"]
-            )
-            shm = _shared_memory.SharedMemory(
-                create=True, size=max(1, nbytes), name=entry.broadcast_id
-            )
-            if kind == "buffers":
-                _write_buffers(shm, buffers, info["meta"]["offsets"])
-            else:
-                _write_buffers(shm, buffers, [0])
-            descriptor = dict(info)
-            descriptor["kind"] = kind
-            descriptor["segment"] = shm.name
-            entry.shm = shm
-            entry.descriptor = descriptor
-            entry.plane = "shm"
-            entry.shm_nbytes = nbytes
-            self.counters.segments += 1
-            self.counters.shm_bytes += nbytes
-            if kind == "pickle":
-                entry._payload_nbytes = nbytes
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "broadcast_publish", "broadcast",
-                    broadcast=entry.broadcast_id, segment=shm.name,
-                    bytes=nbytes, payload=kind,
-                )
-        except Exception:
-            # Platform/quota failure: stay on the pickle plane (results
-            # are byte-identical, only the accounting differs).
-            if shm is not None:
-                _close_shm(shm)
-                _unlink_shm(shm)
-            entry.shm = None
-            entry.descriptor = None
-            entry.plane = "pickle"
+    def charge_stage(self, roots):
+        """``(broadcast_bytes, handles)`` of one stage's task closures.
 
-    def _on_attach(self, descriptor):
-        if self.tracer is not None:
-            self.tracer.instant(
-                "broadcast_attach", "broadcast",
-                segment=descriptor.get("segment"),
-                bytes=descriptor.get("nbytes")
-                or descriptor.get("meta", {}).get("nbytes", 0),
-            )
-
-    # -- per-stage accounting + chaos --------------------------------------
-
-    def charge_stage(self, stage_name, roots):
-        """Account the broadcast traffic one stage's closures reference.
-
-        Runs the closure scan over ``roots``, injects the seeded
-        segment-unlink fault, demotes entries whose segment is gone
-        (``shm -> pickle`` ladder), and returns ``(broadcast_bytes,
-        handles)``: shm-plane entries are charged their handle bytes
-        only (the payload crossed once, at publish), pickle-plane
-        entries their handle plus payload bytes — the cost a
-        payload-copying transport would pay for this stage.
+        Each handle the closure scan reaches is charged what it pickles
+        to under :func:`handles_only` — its id for a managed broadcast,
+        its value for a bare or already released one, which really would
+        ship by value.
         """
         found = find_broadcasts(roots)
-        if not found:
-            return 0, 0
         nbytes = 0
-        for key in sorted(found):
-            handle = found[key]
-            entry = self._entries.get(key)
-            if entry is None:
-                # Bare/foreign handle captured in a closure: its payload
-                # ships by value, charge it as such.
+        with handles_only():
+            for handle in found.values():
                 try:
-                    with handles_only():
-                        nbytes += len(pickle.dumps(handle, _PICKLE_PROTO))
-                except Exception:
-                    pass
-                continue
-            if entry.plane == "shm":
-                self._inject_unlink(entry, stage_name)
-                if not self._segment_alive(entry):
-                    self._fallback(entry, "shared-memory segment vanished")
-            if entry.plane == "shm":
-                nbytes += entry.handle_nbytes()
-            else:
-                nbytes += entry.handle_nbytes() + entry.payload_nbytes()
+                    nbytes += len(
+                        pickle.dumps(handle, pickle.HIGHEST_PROTOCOL)
+                    )
+                except (pickle.PicklingError, TypeError, AttributeError):
+                    pass  # an unpicklable bare value ships nowhere
         return nbytes, len(found)
-
-    def _inject_unlink(self, entry, stage_name):
-        chaos = self.chaos
-        if chaos is None or entry.shm is None:
-            return
-        if not chaos.shm_unlink(entry.broadcast_id, entry.fault_epoch):
-            return
-        entry.fault_epoch += 1
-        self.counters.faults_injected += 1
-        _unlink_shm(entry.shm)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "shm_unlink", "chaos",
-                broadcast=entry.broadcast_id, stage=stage_name,
-            )
-
-    def _segment_alive(self, entry) -> bool:
-        if entry.shm is None or entry.descriptor is None:
-            return False
-        try:
-            probe = _shared_memory.SharedMemory(
-                name=entry.descriptor["segment"]
-            )
-        except (FileNotFoundError, OSError, ValueError):
-            return False
-        probe.close()
-        return True
-
-    def _fallback(self, entry, reason):
-        """Demote one entry to the pickle plane (segment unusable).
-
-        Happens *before* the stage launches, so every worker of the
-        stage sees a consistent plane; the handle keeps resolving to the
-        driver's original value, so results are unchanged.
-        """
-        shm, entry.shm = entry.shm, None
-        entry.descriptor = None
-        entry.plane = "pickle"
-        entry._handle_nbytes = None
-        if shm is not None:
-            _close_shm(shm)
-            _unlink_shm(shm)
-        self.counters.fallbacks += 1
-        if self.metrics is not None:
-            self.metrics.record_fallback("shm", "pickle", reason)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "broadcast_fallback", "fallback",
-                broadcast=entry.broadcast_id, reason=reason,
-            )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -753,71 +293,34 @@ class BroadcastManager:
         for bid in bids:
             self.release(bid)
 
-    @contextmanager
-    def scope(self):
-        self.push_scope()
-        try:
-            yield
-        finally:
-            self.pop_scope()
-
     def release(self, broadcast_id):
         with self._lock:
-            entry = self._entries.pop(broadcast_id, None)
-            if entry is None:
+            handle = self._handles.pop(broadcast_id, None)
+            if handle is None:
                 return
-            if self._by_value.get(id(entry.value)) == broadcast_id:
-                del self._by_value[id(entry.value)]
-        with _REGISTRY_LOCK:
-            registered = _LOCAL_REGISTRY.get(broadcast_id)
-            if registered is entry:
-                del _LOCAL_REGISTRY[broadcast_id]
-        if entry.shm is not None:
-            _close_shm(entry.shm)
-            _unlink_shm(entry.shm)
-            entry.shm = None
-            entry.descriptor = None
-            self.counters.released_segments += 1
+            if self._by_value.get(id(handle.value)) is handle:
+                del self._by_value[id(handle.value)]
+            _REGISTRY.pop(broadcast_id, None)
 
     def release_all(self):
         with self._lock:
-            bids = list(self._entries)
+            bids = list(self._handles)
         for bid in bids:
             self.release(bid)
-
-    def live_segments(self) -> int:
-        """Entries currently holding an open shared-memory segment."""
-        with self._lock:
-            return sum(
-                1 for e in self._entries.values() if e.shm is not None
-            )
-
-    def leaked_segments(self) -> int:
-        """Named segments of this manager still present in the OS.
-
-        The broadcast mirror of ``SpillManager.leaked_files()``: zero
-        after every join (scopes release their segments on exit).
-        """
-        with self._lock:
-            entries = list(self._entries.values())
-        return sum(
-            1 for e in entries if e.shm is not None and self._segment_alive(e)
-        )
 
     def summary(self) -> dict:
         c = self.counters
         return {
-            "enabled": self.enabled,
             "broadcasts": c.broadcasts,
             "dedup_hits": c.dedup_hits,
-            "segments": c.segments,
-            "shm_bytes": c.shm_bytes,
-            "released_segments": c.released_segments,
-            "live_segments": self.live_segments(),
-            "fallbacks": c.fallbacks,
-            "faults_injected": c.faults_injected,
             "payload_pickles": c.payload_pickles,
-            "attaches": process_attaches(),
+            "live": len(self._handles),  # zero after every join
+            # benchmarks/ladder reads these four; there is no segment
+            # plane, so their true value is 0.
+            "segments": 0,
+            "shm_bytes": 0,
+            "fallbacks": 0,
+            "live_segments": 0,
         }
 
     def __del__(self):  # pragma: no cover - best-effort safety net

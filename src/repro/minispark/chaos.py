@@ -137,14 +137,6 @@ class FaultPlan:
     segment *write* raise an injected :class:`ChaosDiskError` (fake
     ENOSPC); the spill manager retries, and the per-key
     ``max_faults_per_task`` cap guarantees a clean attempt.
-
-    ``shm_unlink_rate`` targets the zero-copy broadcast plane
-    (:mod:`repro.minispark.broadcast`): an already-published
-    shared-memory segment gets unlinked at most once, right before a
-    stage that references it launches, so the broadcast manager's
-    liveness probe catches it and demotes the entry to the pickle plane
-    (``shm -> pickle`` fallback, the broadcast mirror of the spill
-    subsystem's spill->memory ladder).
     """
 
     seed: int = 0
@@ -155,13 +147,12 @@ class FaultPlan:
     shuffle_loss_rate: float = 0.0
     spill_fault_rate: float = 0.0
     spill_write_error_rate: float = 0.0
-    shm_unlink_rate: float = 0.0
     max_faults_per_task: int = 2
 
     def __post_init__(self):
         for name in ("transient_rate", "straggler_rate", "kill_rate",
                      "shuffle_loss_rate", "spill_fault_rate",
-                     "spill_write_error_rate", "shm_unlink_rate"):
+                     "spill_write_error_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
@@ -222,17 +213,6 @@ class FaultPlan:
         kinds = ("delete", "corrupt", "truncate")
         pick = _roll(self.seed, "spill-kind", segment_key, 0, epoch)
         return kinds[min(int(pick * len(kinds)), len(kinds) - 1)]
-
-    def shm_unlink(self, broadcast_key: str, epoch: int) -> bool:
-        """Whether a published broadcast segment gets unlinked (once).
-
-        At most one unlink per broadcast (``epoch >= 1`` is always
-        clean): after the fault the entry falls back to the pickle
-        plane, so a second fault would be unobservable anyway.
-        """
-        if epoch >= 1:
-            return False
-        return _roll(self.seed, "shm-unlink", broadcast_key, 0, epoch) < self.shm_unlink_rate
 
     def spill_write_error(self, key: str, attempt: int) -> bool:
         """Whether this spill-segment write raises a fake ENOSPC.

@@ -105,15 +105,6 @@ class Context:
         Parent directory for spill segment files (a unique subdirectory
         is created inside it and removed on cleanup).  Defaults to the
         system temp directory; requires ``memory_budget_bytes``.
-    shm_broadcast:
-        Whether :meth:`broadcast` publishes values into named
-        shared-memory segments so broadcast handles ship as segment
-        references instead of payload copies
-        (:mod:`repro.minispark.broadcast`).  The default ``None``
-        auto-detects: on when ``multiprocessing.shared_memory`` works
-        and ``REPRO_NO_SHM`` is unset.  ``False`` forces the pickle
-        plane (byte-identical results, larger per-stage
-        ``broadcast_bytes``).
     tracer:
         Structured tracing (:mod:`repro.minispark.tracing`).  Pass a
         :class:`~repro.minispark.tracing.Tracer` to share one across
@@ -138,7 +129,6 @@ class Context:
         tracer: Tracer | bool | None = None,
         memory_budget_bytes: int | None = None,
         spill_dir: str | os.PathLike | None = None,
-        shm_broadcast: bool | None = None,
     ):
         if default_parallelism <= 0:
             raise ValueError(
@@ -187,14 +177,8 @@ class Context:
             if memory_budget_bytes is not None
             else None
         )
-        #: Managed broadcast registry (zero-copy shared-memory plane
-        #: when available; pickle plane otherwise — same results).
-        self.broadcasts = BroadcastManager(
-            shm_broadcast,
-            chaos=chaos,
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
+        #: Managed broadcast registry (:mod:`repro.minispark.broadcast`).
+        self.broadcasts = BroadcastManager()
         self.scheduler = Scheduler(self)
         #: Live accumulator channels, by id — weak so a channel vanishes
         #: with the join that created it (its value object outlives it).
@@ -226,9 +210,8 @@ class Context:
 
         Managed by the context's :class:`BroadcastManager`: repeated
         broadcasts of the *same object* return the same handle (identity
-        dedup), and when shared memory is available the payload is
-        published once into a named segment so the handle pickles to a
-        segment reference instead of a payload copy.
+        dedup), and tasks resolve the handle through the process-local
+        registry instead of carrying a payload copy.
         """
         return self.broadcasts.broadcast(value)
 
@@ -292,7 +275,7 @@ class Context:
         return self.spill.summary()
 
     def broadcast_summary(self) -> dict:
-        """Lifetime broadcast-plane accounting (segments, bytes, dedup)."""
+        """Lifetime broadcast accounting (broadcasts, dedup hits, tripwire)."""
         return self.broadcasts.summary()
 
     def simulated_seconds(self, cluster: ClusterConfig | None = None) -> float:

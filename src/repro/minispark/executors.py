@@ -60,7 +60,6 @@ from time import perf_counter, sleep, thread_time
 from typing import Callable, Sequence
 
 from .accumulators import begin_attempt, end_attempt
-from .broadcast import close_process_attachments, prepare_fork
 from .chaos import (
     CHAOS_KILL_EXIT_CODE,
     ChaosError,
@@ -398,14 +397,9 @@ class ProcessTaskExecutor(TaskExecutor):
         if len(tasks) <= 1 or self.max_workers == 1:
             return SerialExecutor().run_tasks(tasks, policy)
         ctx = multiprocessing.get_context("fork")
-        # Children inherit the broadcast registry copy-on-write: every
-        # live shared-memory mapping (and every driver-held broadcast
-        # value) is visible in the child with zero attaches and zero
-        # unpickles — a *respawned* worker gets the same free ride, so
-        # respawn cost is independent of broadcast size.  Dead mappings
-        # of entries that fell back to the pickle plane are dropped
-        # first so no child inherits a closed segment.
-        prepare_fork()
+        # Children inherit the broadcast registry copy-on-write, so
+        # every worker — a respawned one included — resolves broadcast
+        # handles without copying or unpickling a payload.
         num_workers = min(self.max_workers, len(tasks))
         outcomes: list = [None] * len(tasks)
         restarts = [0] * len(tasks)
@@ -487,10 +481,6 @@ class ProcessTaskExecutor(TaskExecutor):
             for worker in live.values():  # don't leak workers
                 if worker.process.is_alive():
                     worker.process.terminate()
-            # The stage is going down (ExecutorBrokenError, chaos, user
-            # abort): release any segment mappings this driver attached
-            # so a degraded re-run starts from a clean slate.
-            close_process_attachments()
             raise
         finally:
             if spec_pool is not None:
@@ -610,10 +600,6 @@ def _forked_worker(conn, tasks, indices, policy, restarts):
                     fallback.attempt_stats = []
                     conn.send((index, fallback))
     finally:
-        # Detach any shared-memory segments this child mapped itself
-        # (mappings inherited from the driver are skipped — they belong
-        # to the parent and stay valid for sibling workers).
-        close_process_attachments()
         conn.close()
 
 

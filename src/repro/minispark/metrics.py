@@ -83,8 +83,8 @@ class StageMetrics:
     spilled_bytes: int = 0  # segment bytes this stage wrote to disk
     spill_files: int = 0  # segment files this stage wrote
     spill_read_retries: int = 0  # transient re-opens while reading spills
-    # --- broadcast plane (see repro.minispark.broadcast) -------------
-    broadcast_bytes: int = 0  # handle (+ payload, on the pickle plane) bytes
+    # --- broadcasts (see repro.minispark.broadcast) -------------------
+    broadcast_bytes: int = 0  # pickled handle bytes of the referenced broadcasts
     broadcast_handles: int = 0  # broadcast handles this stage's closures reference
     # --- accumulator channel (see repro.minispark.accumulators) ------
     stats_deltas_merged: int = 0  # winning-attempt deltas folded in

@@ -39,12 +39,11 @@ exactly like a lost in-memory shuffle.
 
 Broadcast accounting: before each stage launches, a closure scan
 (:func:`repro.minispark.broadcast.find_broadcasts`) collects the
-broadcast handles the stage's tasks can reach and charges their traffic
-into ``StageMetrics.broadcast_bytes`` — handle bytes only on the
-shared-memory plane (the payload crossed once, at publish), handle plus
-payload bytes on the pickle plane.  ``shuffle_bytes`` stays pure shuffle
-traffic: the stride-sampled estimator and the shuffle checksum serialize
-broadcast handles without payloads (``handles_only``).
+broadcast handles the stage's tasks can reach and charges their handle
+bytes into ``StageMetrics.broadcast_bytes`` (workers resolve the
+payloads through the inherited registry).  ``shuffle_bytes`` stays pure
+shuffle traffic: the stride-sampled estimator and the shuffle checksum
+serialize broadcast handles without payloads (``handles_only``).
 
 Cached partitions: a ``cache()``d partition first computed inside a
 forked worker comes back inside that task's ``TaskOutcome``; the
@@ -128,8 +127,7 @@ def shuffle_checksum(outputs: list, sample: int) -> int:
     """
     crc = zlib.crc32(repr([len(bucket) for bucket in outputs]).encode())
     # handles_only: a broadcast handle inside a record fingerprints as a
-    # stable reference, never as a payload snapshot — the checksum must
-    # not change when a broadcast's transport plane does.
+    # stable reference, never as a payload snapshot.
     with handles_only():
         for bucket in outputs:
             if isinstance(bucket, SpilledBucket):
@@ -171,20 +169,16 @@ class Scheduler:
 
         The closure scan finds every :class:`Broadcast` handle reachable
         from the stage's task closures; the broadcast manager charges
-        handle bytes (shm plane) or handle + payload bytes (pickle
-        plane) into ``StageMetrics.broadcast_bytes`` — kept strictly
-        apart from ``shuffle_bytes``, which only measures shuffle
-        records.  Running before the stage also gives the manager its
-        chance to inject the seeded segment-unlink fault and demote lost
-        segments to the pickle plane while every worker can still see a
-        consistent state.
+        their handle bytes into ``StageMetrics.broadcast_bytes`` — kept
+        strictly apart from ``shuffle_bytes``, which only measures
+        shuffle records.
         """
         manager = getattr(self.context, "broadcasts", None)
         if manager is None:
             return
-        nbytes, handles = manager.charge_stage(stage.name, roots)
-        stage.broadcast_bytes = nbytes
-        stage.broadcast_handles = handles
+        stage.broadcast_bytes, stage.broadcast_handles = (
+            manager.charge_stage(roots)
+        )
 
     def _task_policy(self, stage_name: str) -> TaskPolicy:
         """Bundle the context's resilience settings for one stage."""

@@ -408,8 +408,8 @@ def sampled_records_bytes(buckets: list, sample: int) -> int:
     measured = 0
     # handles_only: a broadcast handle inside a sampled record measures
     # as its reference size, so broadcast payloads inflate neither
-    # ``shuffle_bytes`` nor spill decisions (they are accounted once,
-    # by the broadcast plane).
+    # ``shuffle_bytes`` nor spill decisions (they are accounted in
+    # ``broadcast_bytes``).
     with handles_only():
         for bucket in buckets:
             size = len(bucket)

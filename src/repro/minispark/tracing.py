@@ -295,48 +295,18 @@ class Tracer:
                     for s in spill_spans
                 ),
             }
-        # Broadcast-plane section, only when broadcasts were actually
-        # published/referenced (the scheduler annotates broadcast args
-        # and the manager emits "broadcast" events only then) —
+        # Broadcast section, only when a stage referenced a broadcast
+        # (the scheduler annotates broadcast args only then) —
         # broadcast-free traces keep their historical shape byte for
         # byte.
         broadcast_spans = [
             s for s in stage_spans if "broadcast_bytes" in s.args
         ]
-        broadcast_events = self.events_of("broadcast")
-        if broadcast_spans or broadcast_events:
-            publishes = [
-                e for e in broadcast_events if e.name == "broadcast_publish"
-            ]
-            attaches = [
-                e for e in broadcast_events if e.name == "broadcast_attach"
-            ]
+        if broadcast_spans:
+            charged = [s.args["broadcast_bytes"] for s in broadcast_spans]
             digest["broadcast"] = {
-                "segments": len(publishes),
-                "segment_bytes": sum(
-                    e.args.get("bytes", 0) for e in publishes
-                ),
-                "attaches": len(attaches),
-                "fallbacks": sum(
-                    1
-                    for e in self.events_of("fallback")
-                    if e.name == "broadcast_fallback"
-                ),
-                "unlink_faults": sum(
-                    1
-                    for e in self.events_of("chaos")
-                    if e.name == "shm_unlink"
-                ),
-                "stage_broadcast_bytes": sum(
-                    s.args.get("broadcast_bytes", 0) for s in broadcast_spans
-                ),
-                "stage_broadcast_bytes_max": max(
-                    (
-                        s.args.get("broadcast_bytes", 0)
-                        for s in broadcast_spans
-                    ),
-                    default=0,
-                ),
+                "stage_broadcast_bytes": sum(charged),
+                "stage_broadcast_bytes_max": max(charged),
                 "stage_broadcast_handles": sum(
                     s.args.get("broadcast_handles", 0)
                     for s in broadcast_spans

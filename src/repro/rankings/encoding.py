@@ -183,7 +183,6 @@ class ColumnarStore:
 
     __slots__ = (
         "rids", "codes", "row_of", "num_codes", "_cache", "_row_lookup",
-        "_shm",
     )
 
     def __init__(self, rids: np.ndarray, codes: np.ndarray, num_codes: int):
@@ -193,7 +192,6 @@ class ColumnarStore:
         self.num_codes = num_codes
         self._cache: dict = {}
         self._row_lookup = None
-        self._shm = None
 
     @classmethod
     def from_ordered(
@@ -261,51 +259,6 @@ class ColumnarStore:
         """How many rids have been materialized as scalar objects."""
         return len(self._cache)
 
-    def to_shm(self):
-        """Describe the store as raw buffers for zero-copy broadcast.
-
-        Returns ``(meta, buffers)`` for the broadcast plane
-        (:mod:`repro.minispark.broadcast`): ``buffers`` are the two
-        contiguous arrays written back-to-back into a shared-memory
-        segment, ``meta`` carries the dtypes/shapes needed to rebuild
-        read-only views (the publisher adds the byte offsets).
-        """
-        return (
-            {
-                "num_codes": self.num_codes,
-                "rids": (self.rids.dtype.str, self.rids.shape),
-                "codes": (self.codes.dtype.str, self.codes.shape),
-            },
-            [self.rids, self.codes],
-        )
-
-    @classmethod
-    def from_shm(cls, meta, buf, keep=None) -> "ColumnarStore":
-        """Rebuild a store as read-only views over a mapped segment.
-
-        The inverse of :meth:`to_shm`: no array data is copied or
-        unpickled — ``rids`` and ``codes`` are ndarray views straight
-        into ``buf`` at the recorded offsets.  Scalar access
-        (``store[rid].ranking``), ``rows_of``, and the vectorized
-        kernels all work unchanged on the views, byte-identical to a
-        pickled copy.  ``keep`` (the ``SharedMemory`` object) is pinned
-        on the store so the mapping outlives it.
-        """
-        arrays = []
-        for (dtype_str, shape), offset in zip(
-            (meta["rids"], meta["codes"]), meta["offsets"]
-        ):
-            dtype = np.dtype(dtype_str)
-            count = int(np.prod(shape, dtype=np.int64))
-            arr = np.frombuffer(
-                buf, dtype=dtype, count=count, offset=offset
-            ).reshape(shape)
-            arr.flags.writeable = False
-            arrays.append(arr)
-        store = cls(arrays[0], arrays[1], meta["num_codes"])
-        store._shm = keep
-        return store
-
     def __getstate__(self):
         return (self.rids, self.codes, self.num_codes)
 
@@ -317,4 +270,3 @@ class ColumnarStore:
         self.num_codes = num_codes
         self._cache = {}
         self._row_lookup = None
-        self._shm = None

@@ -4,6 +4,7 @@ import pytest
 
 from repro import ALGORITHMS, Context, similarity_join
 from repro.joins import bruteforce_join
+from repro.minispark import FaultPlan, SpeculationPolicy
 
 
 class TestDispatch:
@@ -45,6 +46,29 @@ class TestDispatch:
         ctx = Context(default_parallelism=4)
         similarity_join(small_dblp, 0.2, algorithm="vj", ctx=ctx)
         assert len(ctx.metrics.jobs) > 0
+
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("executor", "threads"),
+            ("max_workers", 8),
+            ("task_retries", 2),
+            ("chaos", FaultPlan(seed=1, transient_rate=0.1)),
+            ("speculation", SpeculationPolicy()),
+            ("trace", True),
+            ("memory_budget_bytes", 1 << 20),
+            ("spill_dir", "/tmp"),
+        ],
+    )
+    def test_context_only_keyword_rejected_with_ctx(
+        self, small_dblp, keyword, value
+    ):
+        ctx = Context(default_parallelism=4)
+        with pytest.raises(ValueError, match=f"either ctx or {keyword},"):
+            similarity_join(
+                small_dblp, 0.2, algorithm="vj", ctx=ctx, **{keyword: value}
+            )
+        assert not ctx.metrics.jobs  # rejected before anything ran
 
     def test_options_forwarded(self, small_dblp):
         result = similarity_join(

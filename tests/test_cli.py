@@ -91,6 +91,11 @@ class TestJoin:
         [
             (["--executor", "threads", "--max-workers", "0"], "max_workers"),
             (["--algorithm", "cl", "--theta-c", "0.3"], "theta_c"),
+            (["--chaos", "seed=1,bogus=0.5"], "unknown key 'bogus'"),
+            (["--chaos", "transient_rate=0.5"], "unknown key"),
+            (["--chaos", "transient=1.5"], "must be in [0, 1]"),
+            (["--chaos", "kill=lots"], "kill needs a number"),
+            (["--chaos", "seed=0.5"], "seed needs a number"),
         ],
     )
     def test_bad_argument_values_exit_cleanly(
@@ -107,6 +112,58 @@ class TestJoin:
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--no-shm"],
+            ["--chaos-shm-unlink-rate", "1.0"],
+            ["--chaos-seed", "42"],
+            ["--chaos-rate", "0.2"],
+            ["--chaos-kill-rate", "0.1"],
+        ],
+    )
+    def test_removed_flags_are_rejected(self, dataset_file, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["join", dataset_file, "--theta", "0.2", *flags])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: " + flags[0] in captured.err
+
+    def test_chaos_spec_builds_the_fault_plan(self):
+        from repro.cli import CHAOS_KEYS, parse_chaos
+        from repro.minispark import FaultPlan
+
+        assert parse_chaos("seed=42, transient=0.2,kill=0.1") == FaultPlan(
+            seed=42, transient_rate=0.2, kill_rate=0.1
+        )
+        every_key = ",".join(
+            f"{key}={7 if key == 'seed' else 0.25}" for key in CHAOS_KEYS
+        )
+        assert parse_chaos(every_key) == FaultPlan(
+            seed=7, transient_rate=0.25, straggler_rate=0.25, kill_rate=0.25,
+            shuffle_loss_rate=0.25, spill_fault_rate=0.25,
+            spill_write_error_rate=0.25,
+        )
+
+    def test_chaos_run_matches_clean_run(self, dataset_file, tmp_path, capsys):
+        outputs = []
+        for name, flags in (
+            ("clean", []),
+            ("chaos", ["--chaos", "seed=42,transient=0.3,straggler=0.05",
+                       "--task-retries", "3", "--executor", "threads",
+                       "--max-workers", "2"]),
+        ):
+            pairs, stats = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+            code = main(
+                ["join", dataset_file, "--theta", "0.2", "--algorithm", "cl",
+                 "-o", str(pairs), "--stats-out", str(stats), *flags]
+            )
+            assert code == 0
+            outputs.append((pairs.read_bytes(), stats.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "# recovery: retries " in capsys.readouterr().err
 
 
 class TestStats:
